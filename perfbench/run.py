@@ -3,12 +3,13 @@ requests to RInGen and reports end-to-end or per-layer metrics.
 
 Usage, from the repository root::
 
-    python3 perfbench/run.py --workload table1-fresh --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload refute-sweep --seed 1 --seconds 20 --trace 1
+    python3 perfbench/run.py --workload table1-fresh --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload refute-sweep --seed 1 --seconds 30 --trace 1
     python3 perfbench/run.py --steadiness --workload stlc-verify --runs 5
     python3 perfbench/run.py --known-gap
 
-``--trace 0`` prints every end-to-end metric of ``BENCHMARK.json``;
+``--trace 0`` prints every end-to-end metric of ``BENCHMARK.json``,
+its times normalised to a reference host speed (``hostspeed.py``);
 ``--trace 1`` replays one pass with benchmark-side spans and prints
 every per-layer metric.  The last line of standard output is one JSON
 object ``{"correct", "attempted", "failed", "metrics"}``.  A wrong
@@ -32,7 +33,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-import summary  # noqa: E402  (benchmark-only; needs no program)
+import hostspeed  # noqa: E402  (benchmark-only; needs no program)
+import summary  # noqa: E402
 from oracle import SOLVED, UNSOLVED, WRONG  # noqa: E402
 
 WORKLOADS = ("table1-fresh", "refute-sweep", "stlc-verify", "campaign-resubmit")
@@ -41,7 +43,8 @@ SETUP_PROBES = 5
 
 def setup_probe_times(workload: str, seed: int, count: int) -> list[float]:
     """Spawn ``count`` fresh interpreters that import the program and
-    generate the workload's requests; time each from spawn to ready."""
+    generate the workload's requests; time each from spawn to ready,
+    without the child's host-speed probes and scaled by them."""
     times = []
     for _ in range(count):
         start = time.perf_counter()
@@ -52,13 +55,16 @@ def setup_probe_times(workload: str, seed: int, count: int) -> list[float]:
         )
         try:
             line = proc.stdout.readline().strip()
-            times.append(time.perf_counter() - start)
+            end = time.perf_counter()
             proc.stdout.read()
         finally:
             proc.stdout.close()
             code = proc.wait(timeout=120)
-        if line != "ready" or code != 0:
+        fields = line.split()
+        if fields[:1] != ["ready"] or len(fields) != 3 or code != 0:
             raise RuntimeError(f"set-up probe failed (exit {code}, {line!r})")
+        factor, probes_s = float(fields[1]), float(fields[2])
+        times.append((end - start - probes_s) * factor)
     return times
 
 
@@ -68,34 +74,50 @@ def peak_rss_mb() -> float:
     return (own + children) / 1024.0
 
 
-def measure(wl, rng, seconds: float):
-    """Closed loop over whole passes; returns (outcomes, measured_s, passes)."""
+def measure(wl, rng, seconds: float, clock):
+    """Closed loop over whole passes; returns (outcomes, measured wall
+    seconds, scaled busy seconds, passes)."""
     outcomes = []
     passes = 0
+    busy = 0.0
     begin = time.perf_counter()
     while True:
         batch = wl.next_pass(rng)
         start = time.perf_counter()
-        outcomes.extend(wl.run_pass(batch))
+        pass_outcomes, pass_busy = wl.run_pass(batch, clock)
+        outcomes.extend(pass_outcomes)
+        busy += pass_busy
         last = time.perf_counter() - start
         passes += 1
+        print(f"# pass {passes}: {len(pass_outcomes)} requests, "
+              f"{last:.3f} s wall, {pass_busy:.3f} s scaled busy", flush=True)
         elapsed = time.perf_counter() - begin
         if elapsed + last > seconds:
-            return outcomes, elapsed, passes
+            return outcomes, elapsed, busy, passes
 
 
-def end_to_end(wl, outcomes, measured_s: float, setup_s: float):
-    """(metrics, human-readable lines) of an untraced run."""
-    n = len(outcomes)
-    effective = [
-        o.latency if o.verdict == SOLVED else max(o.latency, wl.limit)
+def _latencies(wl, outcomes, attr: str) -> list[float]:
+    """Per-request times; an unsolved request counts at no less than the
+    per-request limit."""
+    return [
+        getattr(o, attr) if o.verdict == SOLVED
+        else max(getattr(o, attr), wl.limit)
         for o in outcomes
     ]
+
+
+def end_to_end(wl, outcomes, measured_s: float, busy_s: float, setup_s: float):
+    """(metrics, human-readable lines) of an untraced run.  Times are
+    host-speed-normalised (hostspeed.py); the wall-clock figures are
+    printed alongside."""
+    n = len(outcomes)
+    effective = _latencies(wl, outcomes, "scaled")
+    wall = _latencies(wl, outcomes, "latency")
     solved = sum(o.verdict == SOLVED for o in outcomes)
     unanswered = sum(o.verdict == UNSOLVED for o in outcomes)
     metrics = {
         "setup_s": (setup_s, "s"),
-        "throughput_rps": (n / measured_s, "1/s"),
+        "throughput_rps": (n / busy_s, "1/s"),
         "latency_p50_s": (summary.percentile(effective, 0.5), "s"),
         "latency_p90_s": (summary.percentile(effective, 0.9), "s"),
         "solved_frac": (solved / n, "ratio"),
@@ -110,6 +132,11 @@ def end_to_end(wl, outcomes, measured_s: float, setup_s: float):
     lines = [f"{name} = {value:.6g} {unit}" for name, (value, unit) in metrics.items()]
     lines.insert(4, f"  (latency samples n={n}; p90 {floor_note})")
     lines.append(f"failed_frac = {unanswered / n:.6g} ratio")
+    lines.append(
+        f"  (wall clock: {n / measured_s:.6g} requests/s over {measured_s:.2f} s "
+        f"incl. probes, latency p50 {summary.percentile(wall, 0.5):.6g} s, "
+        f"p90 {summary.percentile(wall, 0.9):.6g} s)"
+    )
     return metrics, lines
 
 
@@ -127,8 +154,11 @@ def run_benchmark(args) -> int:
     setup_s = statistics.median(
         setup_probe_times(args.workload, args.seed, SETUP_PROBES)
     )
-    outcomes, measured_s, passes = measure(wl, rng, args.seconds)
-    metrics, lines = end_to_end(wl, outcomes, measured_s, setup_s)
+    with wl.host_clock() as clock:
+        outcomes, measured_s, busy_s, passes = measure(
+            wl, rng, args.seconds, clock
+        )
+    metrics, lines = end_to_end(wl, outcomes, measured_s, busy_s, setup_s)
     wrong = [o.name for o in outcomes if o.verdict == WRONG]
     failed = sum(o.error is not None for o in outcomes)
     print(f"# {args.workload} seed={args.seed}: {len(outcomes)} requests in "
@@ -178,10 +208,14 @@ def emit(correct: bool, attempted: int, failed: int, metrics: dict) -> int:
 
 
 def run_setup_probe(args) -> int:
-    import workloads
+    """Set up as a run does, probing the host's speed meanwhile; report
+    "ready <scale factor> <seconds spent in probes>"."""
+    with hostspeed.HostClock() as clock:
+        import workloads
 
-    workloads.make_workload(args.workload)
-    print("ready", flush=True)
+        workloads.make_workload(args.workload)
+    factor = hostspeed.REFERENCE_S / statistics.fmean(clock.durations)
+    print(f"ready {factor!r} {sum(clock.durations)!r}", flush=True)
     return 0
 
 
@@ -189,7 +223,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-probe", action="store_true",
                         help=argparse.SUPPRESS)

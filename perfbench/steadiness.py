@@ -84,7 +84,7 @@ def known_gap() -> int:
     from repro.core.cex import search_counterexample
 
     wl = workloads.make_workload("table1-fresh")
-    outcomes = wl.run_pass(wl.requests)
+    outcomes, _ = wl.run_pass(wl.requests)
     unanswered = {o.name for o in outcomes if o.verdict != SOLVED}
     deep = []
     for request in wl.requests:

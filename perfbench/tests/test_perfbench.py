@@ -1,5 +1,6 @@
 """Unit tests of the benchmark's helpers: the percentile rule and its
-sample-count floor, self time from span intervals, and the oracle.
+sample-count floor, self time from span intervals, host-speed scaling,
+and the oracle.
 
 Run from the repository root: ``python3 -m pytest perfbench/tests -q``.
 """
@@ -7,8 +8,10 @@ Run from the repository root: ``python3 -m pytest perfbench/tests -q``.
 from __future__ import annotations
 
 import json
+import signal
 import statistics
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(BENCH))
 
+import hostspeed  # noqa: E402
 import oracle  # noqa: E402
 import spans  # noqa: E402
 import summary  # noqa: E402
@@ -173,6 +177,52 @@ def test_oracle_truth_from_generators():
 
     assert oracle.truth_of_stlc(_Goal()) == Truth("sat", False, "sat")
     assert oracle.truth_of_stlc(_Goal(), refute=True) == REFUTE
+
+
+# -- host-speed scaling --------------------------------------------------------
+
+
+def _clock(probes):
+    """A HostClock holding ``probes`` = [(start, duration), ...], unstarted."""
+    clock = hostspeed.HostClock()
+    clock.starts = [start for start, _ in probes]
+    clock.durations = [duration for _, duration in probes]
+    return clock
+
+
+def test_scaled_subtracts_probes_inside_and_scales_by_their_mean():
+    ref = hostspeed.REFERENCE_S
+    # the host runs the probe at half speed around and during the work
+    clock = _clock([(9.0, 2 * ref), (10.5, 2 * ref), (12.0, 2 * ref)])
+    probes_s, factor = clock.within(10.0, 11.0)
+    assert probes_s == pytest.approx(2 * ref)
+    assert factor == pytest.approx(0.5)
+    assert clock.scaled(10.0, 11.0) == pytest.approx((1.0 - 2 * ref) * 0.5)
+
+
+def test_scaled_uses_only_the_nearest_probe_on_either_side():
+    ref = hostspeed.REFERENCE_S
+    clock = _clock([
+        (0.0, 10 * ref),          # earlier: not used
+        (5.0, 3 * ref),           # the probe taken just before the work
+        (5.1, ref),               # the first probe after it
+        (9.0, 10 * ref),          # later: not used
+    ])
+    probes_s, factor = clock.within(5.0 + 1e-9, 5.05)
+    assert probes_s == 0.0
+    assert factor == pytest.approx(0.5)
+
+
+def test_host_clock_probes_on_its_timer_and_restores_the_handler():
+    before = signal.getsignal(signal.SIGALRM)
+    with hostspeed.HostClock(interval=0.05) as clock:
+        time.sleep(0.3)
+    assert signal.getsignal(signal.SIGALRM) == before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    # the probes on entry and exit plus several from the timer, in order
+    assert len(clock.durations) >= 4
+    assert clock.starts == sorted(clock.starts)
+    assert all(d > 0 for d in clock.durations)
 
 
 # -- records -----------------------------------------------------------------

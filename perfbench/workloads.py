@@ -13,6 +13,8 @@ import contextlib
 import copy
 import functools
 import json
+import multiprocessing
+import os
 import random
 import sys
 import time
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from hostspeed import REFERENCE_S, HostClock
 from oracle import NO_MODEL, UNSOLVED, WRONG, Truth, judge, truth_of_problem, truth_of_stlc
 from spans import SpanRecorder, busy_times, self_times, wrapped
 
@@ -43,6 +46,8 @@ RECORD = json.loads(
     (Path(__file__).with_name("workloads.json")).read_text(encoding="utf-8")
 )
 LAYER_METRICS = [entry["metric"] for entry in RECORD["layer_map"]]
+#: result-details key under which a worker reports its host-speed probes
+HOST_KEY = "perfbench_host"
 
 
 @dataclass
@@ -60,9 +65,10 @@ class Outcome:
 
     name: str
     status: str  # "sat" | "unsat" | "unknown"
-    latency: float
+    latency: float  # wall seconds
     verdict: str  # oracle.SOLVED / UNSOLVED / WRONG
     error: Optional[str] = None  # crash / timeout_hard / oom
+    scaled: float = 0.0  # host-speed-normalised seconds (hostspeed.py)
 
 
 @dataclass
@@ -217,12 +223,33 @@ class InProcessWorkload:
             verdict = UNSOLVED
         return Outcome(request.name, status, elapsed, verdict, error)
 
-    def run_pass(self, batch: list[Request]) -> list[Outcome]:
-        out = []
+    def host_clock(self) -> HostClock:
+        """The host-speed clock of an untraced run (see run_pass)."""
+        return HostClock()
+
+    def run_pass(self, batch: list[Request], clock: Optional[HostClock] = None):
+        """Send ``batch``; with a running ``clock``, probe the host's speed
+        before each request and scale each request's time by it.
+        Returns (outcomes, the pass's scaled busy seconds)."""
+        out, spans = [], []
         for request in batch:
+            if clock is not None:
+                clock.mark()
+            start = time.perf_counter()
             status, elapsed, complete, _, error = self._solve(request)
+            spans.append((start, time.perf_counter()))
             out.append(self._outcome(request, status, elapsed, complete, error))
-        return out
+        if clock is not None:
+            clock.mark()
+        for outcome, span in zip(out, spans):
+            # a request that ran into its limit took the limit, whatever
+            # the host's speed: only work that finished earlier is scaled
+            outcome.scaled = (
+                clock.scaled(*span)
+                if clock is not None and outcome.latency < self.limit
+                else outcome.latency
+            )
+        return out, sum(o.scaled for o in out)
 
     def run_pass_traced(
         self,
@@ -333,8 +360,106 @@ class CampaignWorkload:
         )
         return out
 
-    def run_pass(self, batch: list[Request]) -> list[Outcome]:
-        return self._outcomes(batch, self._campaign(batch))
+    @staticmethod
+    @contextlib.contextmanager
+    def host_clock():
+        """Probe the host's speed inside the worker processes, where the
+        requests run: while this is active, ``RInGen.solve`` in a forked
+        worker starts that worker's own ``HostClock`` on its first call
+        (it runs until the worker exits), probes before every request and
+        on the clock's timer, and adds ``details[HOST_KEY]`` to the
+        result, which the verdict record carries back: the seconds of
+        probes inside the solve call, and the worker's pid, probe count
+        and probe seconds so far.  Processes that only wait for the
+        workers do not probe."""
+        original = RInGen.solve
+        parent = os.getpid()
+        worker: dict = {}
+
+        def solve(self, system, *args, **kwargs):
+            if os.getpid() == parent:
+                return original(self, system, *args, **kwargs)
+            clock = worker.get("clock")
+            if clock is None:
+                clock = worker["clock"] = HostClock().__enter__()
+            # the task's own timing includes this probe: count it inside
+            start = time.perf_counter()
+            clock.mark()
+            result = original(self, system, *args, **kwargs)
+            probes_s, _ = clock.within(start, time.perf_counter())
+            result.details[HOST_KEY] = {
+                "probes_s": probes_s, "pid": os.getpid(),
+                "probes": len(clock.durations),
+                "probes_total_s": sum(clock.durations),
+            }
+            return result
+
+        RInGen.solve = solve
+        try:
+            yield None
+        finally:
+            RInGen.solve = original
+
+    def run_pass(self, batch: list[Request], clock=None):
+        """Send ``batch`` (``clock`` is unused: the workers probe, see
+        ``host_clock``) as one campaign from a fresh client process
+        forked from this one, as a service started for the batch would:
+        every batch then starts from the same client state, where a
+        client that ran the batches one after another would fork its
+        workers from a heap grown by the earlier ones.  Returns
+        (outcomes, the batch's scaled seconds)."""
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        client = context.Process(target=self._client, args=(batch, send))
+        client.start()
+        send.close()
+        try:
+            result = receive.recv()
+        except EOFError:
+            result = RuntimeError(f"campaign client exited {client.exitcode}")
+        finally:
+            receive.close()
+            client.join()
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    def _client(self, batch: list[Request], conn) -> None:
+        try:
+            conn.send(self._scaled_pass(batch))
+        except BaseException:
+            conn.send(RuntimeError(traceback.format_exc()))
+        finally:
+            conn.close()
+
+    def _scaled_pass(self, batch: list[Request]):
+        """Send ``batch`` as one campaign.  Inside ``host_clock()`` every
+        time of the batch, without the probes inside it, is scaled by the
+        mean of all probes its workers took: a task of a few milliseconds
+        holds one or two probes, too few to scale it by its own.
+        Returns (outcomes, the batch's scaled seconds)."""
+        start = time.perf_counter()
+        campaign = self._campaign(batch)
+        wall = time.perf_counter() - start
+        out = self._outcomes(batch, campaign)
+        host = {
+            r.problem.name: r.details.get(HOST_KEY) for r in campaign.records
+        }
+        workers: dict = {}
+        for probe in filter(None, host.values()):
+            if probe["probes"] > workers.get(probe["pid"], {}).get("probes", 0):
+                workers[probe["pid"]] = probe
+        probes = sum(w["probes"] for w in workers.values())
+        probes_s = sum(w["probes_total_s"] for w in workers.values())
+        factor = REFERENCE_S * probes / probes_s if probes else 1.0
+        for outcome in out:
+            probe = host.get(outcome.name)
+            outcome.scaled = (
+                (outcome.latency - probe["probes_s"]) * factor
+                if probe is not None and outcome.latency < self.limit
+                else outcome.latency
+            )
+        return out, (wall - probes_s) * factor
 
     def run_pass_traced(
         self,
