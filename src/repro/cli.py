@@ -28,15 +28,18 @@ heuristic state) instead of rebuilding it per file:
     python -m repro.cli campaign --timeout 10 --no-share *.smt2  # ablation
 
 One ``<file>: <status> (<seconds>s)`` line is printed per problem,
-followed by a summary of the pool's cross-problem reuse counters
-(engines created, warm-engine hits, clauses inherited).  The exit code
-is the number of files that did not produce a sat/unsat answer.
+followed by a ``; pool:`` summary of the pool's cross-problem reuse
+counters (engines created, warm-engine hits, clauses inherited) and an
+``; exec:`` line of execution accounting.  The exit code is the number
+of files that did not produce a sat/unsat answer, unparsable files
+included.
 
-Fault-tolerant campaigns (the :mod:`repro.exec` supervisor) run each
-problem in a watchdogged worker subprocess and journal every verdict,
-so hangs, crashes and OOMs become per-problem ``error:*`` verdicts
-instead of lost runs, and an interrupted campaign resumes where it
-stopped:
+Every campaign runs through the :mod:`repro.exec` supervisor
+(``execute_tasks``), in-process by default.  A solver exception
+becomes a per-problem ``error:crash`` verdict either way; the flags
+below add a watchdogged worker subprocess per problem and a journal of
+every verdict, so hangs and OOMs become ``error:*`` verdicts instead of
+lost runs, and an interrupted campaign resumes where it stopped:
 
     python -m repro.cli campaign --isolate --journal run.jsonl *.smt2
     python -m repro.cli campaign --resume run.jsonl *.smt2   # finish it
@@ -73,12 +76,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-import time
 from typing import Optional, Sequence
 
 from repro.chc.parser import ParseError, parse_chc
 from repro.core.ringen import RInGen, RInGenConfig
-from repro.mace.pool import EnginePool
 from repro.sat.backend import (
     BACKEND_NAMES,
     BackendUnavailableError,
@@ -319,9 +320,9 @@ def _finalize_obs(args) -> None:
 
 @contextlib.contextmanager
 def _live_progress(args):
-    """Heartbeat progress lines on stderr for the in-process paths
-    (no-op without ``--progress``); supervised campaigns get theirs
-    from the worker pipes instead."""
+    """Heartbeat progress lines on stderr for the ``solve`` verb (no-op
+    without ``--progress``); campaigns get theirs from the supervisor's
+    event bus instead."""
     from repro.obs.events import (
         EventBus,
         HeartbeatRenderer,
@@ -373,118 +374,44 @@ def campaign_main(argv: Sequence[str]) -> int:
         return 2
     _configure_obs(args)
     try:
-        if (
-            args.isolate
-            or args.journal
-            or args.resume
-            or args.max_retries is not None
-            or args.mem_limit is not None
-        ):
-            return _campaign_supervised(args)
-        return _campaign_plain(args)
+        return _campaign(args)
     finally:
         _finalize_obs(args)
 
 
-def _campaign_plain(args) -> int:
-    """The in-process campaign loop (no supervisor)."""
-    from repro.obs import runtime as obs_runtime
-    from repro.obs.profiler import maybe_profile, profile_path
-
-    pool = (
-        None
-        if args.no_share
-        else EnginePool(
-            lbd_retention=not args.no_lbd,
-            sat_backend=args.backend,
-            cache_dir=args.warm_cache,
+def _pool_summary(stats: dict) -> str:
+    """The ``; pool: ...`` reuse line, with a warm-cache suffix when the
+    run touched snapshots."""
+    line = (
+        f"; pool: {stats.get('problems', 0)} problems, "
+        f"{stats.get('engines_created', 0)} engines, "
+        f"{stats.get('engine_hits', 0)} warm-engine hits, "
+        f"{stats.get('cross_problem_clauses', 0)} clauses inherited"
+    )
+    snapshot_keys = (
+        "snapshot_saves", "snapshot_hits", "snapshot_misses",
+        "snapshot_rejected",
+    )
+    if any(stats.get(key, 0) for key in snapshot_keys):
+        line += (
+            f"; snapshots: {stats.get('snapshot_saves', 0)} saved, "
+            f"{stats.get('snapshot_hits', 0)} warm starts, "
+            f"{stats.get('snapshot_rejected', 0)} rejected"
         )
-    )
-    failures = 0
-    tracer = obs_runtime.TRACER
-    campaign_cm = (
-        tracer.span("campaign", {"files": len(args.files)})
-        if tracer is not None
-        else contextlib.nullcontext()
-    )
-    with campaign_cm, _live_progress(args):
-        for path in args.files:
-            try:
-                with open(path) as handle:
-                    text = handle.read()
-                system = parse_chc(text, name=path)
-            except (OSError, ParseError) as error:
-                print(f"{path}: error: {error}", file=sys.stderr)
-                failures += 1
-                continue
-            solver = RInGen(
-                RInGenConfig(
-                    timeout=args.timeout,
-                    engine_pool=pool,
-                    core_guided_sweep=not args.no_cores,
-                    lbd_retention=not args.no_lbd,
-                    sat_backend=args.backend,
-                    sweep_shards=args.sweep_shards,
-                )
-            )
-            obs_runtime.task_started(path)
-            task_cm = (
-                tracer.span("task", {"task": path})
-                if tracer is not None
-                else contextlib.nullcontext()
-            )
-            prof = (
-                profile_path(args.profile, path) if args.profile else None
-            )
-            start = time.monotonic()
-            try:
-                with task_cm, maybe_profile(prof):
-                    result = solver.solve(system)
-            finally:
-                obs_runtime.task_finished()
-            elapsed = time.monotonic() - start
-            print(f"{path}: {result.status.value} ({elapsed:.2f}s)")
-            if result.is_unknown:
-                failures += 1
-    if pool is not None:
-        pool.flush_cache()
-        pool.publish_metrics()
-        if not args.quiet:
-            stats = pool.as_dict()
-            print(
-                f"; pool: {stats['problems']} problems, "
-                f"{stats['engines_created']} engines, "
-                f"{stats['engine_hits']} warm-engine hits, "
-                f"{stats['cross_problem_clauses']} clauses inherited"
-                + _snapshot_note(stats)
-            )
-    return failures
+    return line
 
 
-def _snapshot_note(stats: dict) -> str:
-    """Warm-cache suffix for the pool summary line (empty when the
-    run never touched snapshots)."""
-    touched = (
-        stats.get("snapshot_saves", 0)
-        + stats.get("snapshot_hits", 0)
-        + stats.get("snapshot_misses", 0)
-        + stats.get("snapshot_rejected", 0)
-    )
-    if not touched:
-        return ""
-    return (
-        f"; snapshots: {stats.get('snapshot_saves', 0)} saved, "
-        f"{stats.get('snapshot_hits', 0)} warm starts, "
-        f"{stats.get('snapshot_rejected', 0)} rejected"
-    )
-
-
-def _campaign_supervised(args) -> int:
-    """Supervised campaign over files: workers, journal, resume."""
-    from repro.chc.transform import preprocess
+def _campaign(args) -> int:
+    """Solve the files as one campaign through the supervisor."""
     from repro.exec.journal import JournalError
     from repro.exec.supervisor import ExecPolicy, TaskSpec, execute_tasks
-    from repro.mace.pool import signature_fingerprint
+    from repro.harness.runner import _signature_key, publish_campaign_metrics
+    from repro.obs import runtime as obs_runtime
+    from repro.obs.events import (
+        EventBus,
+        HeartbeatRenderer,
+        legacy_line_subscriber,
+    )
 
     solver_opts = {
         "core_guided_sweep": not args.no_cores,
@@ -500,13 +427,12 @@ def _campaign_supervised(args) -> int:
         mem_limit_mb=args.mem_limit,
         solver_opts=solver_opts,
         profile_dir=args.profile,
+        # heartbeats from workers (or the in-process sampler), rendered
+        # at most once per second
+        heartbeat_interval=1.0 if args.progress else 0.0,
     )
     if args.max_retries is not None:
         policy.max_retries = args.max_retries
-    if args.progress:
-        # workers stream heartbeats over the verdict pipe; the
-        # supervisor renders at most one line per second
-        policy.heartbeat_interval = 1.0
     failures = 0
     tasks: list[TaskSpec] = []
     for index, path in enumerate(args.files):
@@ -520,14 +446,7 @@ def _campaign_supervised(args) -> int:
             continue
         group_key = None
         if policy.share_engines and policy.isolate:
-            try:
-                group_key = signature_fingerprint(preprocess(system))
-            except Exception as error:
-                print(
-                    f"{path}: warning: unfingerprintable ({error}); "
-                    f"running unshared",
-                    file=sys.stderr,
-                )
+            group_key = _signature_key(lambda: system, path)
         tasks.append(
             TaskSpec(
                 task_id=path,
@@ -538,16 +457,16 @@ def _campaign_supervised(args) -> int:
                 group_key=group_key,
             )
         )
-    journal = args.resume or args.journal
-    pool = None
-    if policy.share_engines and not policy.isolate:
-        pool = EnginePool(
-            lbd_retention=not args.no_lbd,
-            sat_backend=args.backend,
-            cache_dir=args.warm_cache,
+    # verdict lines on stdout, live progress on stderr
+    bus = EventBus()
+    bus.subscribe(legacy_line_subscriber(print))
+    if args.progress:
+        bus.subscribe(
+            HeartbeatRenderer(
+                lambda line: print(line, file=sys.stderr),
+                min_interval=policy.progress_throttle,
+            )
         )
-    from repro.obs import runtime as obs_runtime
-
     tracer = obs_runtime.TRACER
     campaign_cm = (
         tracer.span(
@@ -561,49 +480,22 @@ def _campaign_supervised(args) -> int:
             records, stats = execute_tasks(
                 tasks,
                 policy,
-                journal_path=journal,
+                journal_path=args.resume or args.journal,
                 resume=bool(args.resume),
-                progress=print,
-                engine_pool=pool,
+                bus=bus,
             )
     except JournalError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    metrics = obs_runtime.METRICS
-    if metrics is not None:
-        for record in records.values():
-            metrics.timing(
-                "task.elapsed", float(record.get("elapsed") or 0.0)
-            )
-            metrics.inc(f"task.status.{record.get('status', 'unknown')}")
-        metrics.publish(
-            "exec",
-            {
-                k: v
-                for k, v in stats.as_dict().items()
-                if k not in ("pool_stats", "last_heartbeat")
-            },
-        )
-    if pool is not None:
-        pool.flush_cache()
-        pool.publish_metrics()
+    publish_campaign_metrics(records.values(), stats)
     for task in tasks:
         record = records.get(task.task_id)
-        if record is None:
-            failures += 1  # interrupted before this task ran
-        elif record["status"] not in ("sat", "unsat"):
+        # a task the interrupt never reached counts as a failure too
+        if record is None or record["status"] not in ("sat", "unsat"):
             failures += 1
     if not args.quiet:
-        pool_stats = pool.as_dict() if pool is not None else stats.pool_stats
-        if pool_stats:
-            print(
-                f"; pool: {pool_stats.get('problems', 0)} problems, "
-                f"{pool_stats.get('engines_created', 0)} engines, "
-                f"{pool_stats.get('engine_hits', 0)} warm-engine hits, "
-                f"{pool_stats.get('cross_problem_clauses', 0)} "
-                f"clauses inherited"
-                + _snapshot_note(pool_stats)
-            )
+        if stats.pool_stats:
+            print(_pool_summary(stats.pool_stats))
         errors = stats.error_counts
         error_note = (
             ", ".join(f"{k}={v}" for k, v in sorted(errors.items()))

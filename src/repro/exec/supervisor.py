@@ -26,8 +26,15 @@ signature ``group_key`` ride one worker, which hosts a private
 :class:`~repro.mace.pool.EnginePool` — the in-process sharing mode,
 preserved per worker — and streams one result per task so the watchdog
 still applies per task.  If a batch worker dies midway, its finished
-verdicts are kept and the remainder is rescheduled in fresh singleton
-workers.
+verdicts are kept and the remainder is rescheduled, regrouped by
+``group_key``, onto workers warm-started from the last engine snapshot
+the dead worker shipped.
+
+:func:`execute_tasks` is the only campaign loop in the system: the
+harness's ``run_campaign`` and the CLI's ``campaign`` verb both build
+:class:`TaskSpec` lists and hand them here, whatever their flags; the
+default ``isolate=False`` mode runs each task in this process through
+:func:`solve_inprocess`.
 
 Every failure path is exercised deterministically through
 :class:`~repro.exec.faults.ReproFaultPlan` (``REPRO_FAULT_PLAN``).
@@ -253,6 +260,12 @@ def execute_tasks(
     between.  The legacy ``progress`` string callback still works — it
     is subscribed through an adapter rendering the historical lines —
     and callers needing structured events pass their own ``bus``.
+
+    In-process tasks with ``policy.share_engines`` ride one campaign
+    :class:`~repro.mace.pool.EnginePool` (``engine_pool``, or one built
+    from ``policy.solver_opts``); it is flushed to its warm cache at the
+    end and its counters land in ``stats.pool_stats``, as the merged
+    worker-pool counters do in isolated mode.
     """
     policy = policy or ExecPolicy()
     plan = policy.plan()
@@ -298,6 +311,14 @@ def execute_tasks(
                 stats.tasks_resumed += 1
             pending = [t for t in tasks if t.task_id not in results]
         journal = ResultsJournal(journal_path, meta=meta)
+    # in-process engine sharing runs on one campaign pool (the
+    # caller's, or one built from the solver options); isolated
+    # workers host their own and report counters on exit
+    pool = None
+    if not policy.isolate:
+        pool = engine_pool
+        if pool is None and policy.share_engines:
+            pool = worker_mod.engine_pool_for(policy.solver_opts)
     try:
         with _graceful_signals():
             try:
@@ -309,7 +330,7 @@ def execute_tasks(
                 else:
                     _execute_inprocess(
                         pending, policy, plan, stats, results, journal,
-                        bus, engine_pool,
+                        bus, pool,
                     )
             except (KeyboardInterrupt, CampaignInterrupted) as stop:
                 logger.warning(
@@ -323,6 +344,9 @@ def execute_tasks(
     finally:
         if journal is not None:
             journal.close()
+    if pool is not None:
+        pool.flush_cache()
+        stats.pool_stats = pool.as_dict()
     return results, stats
 
 
@@ -438,77 +462,94 @@ def _execute_inprocess(
     try:
         for task in pending:
             _check_injected_interrupt(task, plan, 1)
-            attempt = 1
-            obs_runtime.task_started(task.task_id)
-            tracer = obs_runtime.TRACER
-            span = (
-                tracer.begin("task", {"task": task.task_id})
-                if tracer is not None
-                else None
+            record, attempt = solve_inprocess(
+                task, policy, plan, engine_pool=engine_pool
             )
-            prof = (
-                profile_path(policy.profile_dir, task.task_id)
-                if policy.profile_dir
-                else None
-            )
-            record: Optional[dict] = None
-            try:
-                while True:
-                    start = time.monotonic()
-                    try:
-                        with maybe_profile(prof):
-                            plan.fire(
-                                task.task_id,
-                                task.index,
-                                attempt,
-                                isolated=False,
-                                timeout=task.timeout,
-                                mem_limit_mb=policy.mem_limit_mb,
-                            )
-                            system = task.build_system()
-                            record = worker_mod.solve_task(
-                                system,
-                                task.solver,
-                                task.timeout,
-                                task.expected_status,
-                                engine_pool=engine_pool,
-                                solver_opts=policy.solver_opts,
-                            )
-                    except TransientWorkerFault as error:
-                        if attempt <= policy.max_retries:
-                            stats.retries += 1
-                            attempt += 1
-                            time.sleep(
-                                policy.backoff(task.task_id, attempt)
-                            )
-                            continue
-                        record = worker_mod.crash_record(
-                            error, time.monotonic() - start, transient=True
-                        )
-                    except CooperativeHang as error:
-                        record = _cooperative_timeout_record(
-                            error, time.monotonic() - start
-                        )
-                    except MemoryError as error:
-                        record = worker_mod.crash_record(
-                            error, time.monotonic() - start
-                        )
-                    except Exception as error:
-                        record = worker_mod.crash_record(
-                            error, time.monotonic() - start
-                        )
-                    break
-            finally:
-                if span is not None:
-                    span.args["status"] = (
-                        record.get("status") if record is not None else None
-                    )
-                    tracer.end(span)
-                obs_runtime.task_finished()
+            stats.retries += attempt - 1
             _finish(task, record, attempt, stats, results, journal, bus)
     finally:
         if monitor is not None:
             monitor.stop()
+
+
+def solve_inprocess(
+    task: TaskSpec,
+    policy: ExecPolicy,
+    plan: ReproFaultPlan,
+    *,
+    engine_pool=None,
+) -> tuple[dict, int]:
+    """Run one task in this process; ``(verdict record, attempts)``.
+
+    The per-task unit of the in-process mode: the task's obs
+    registration, span and profile, the fault plan, the build and
+    :func:`~repro.exec.worker.solve_task`, all under one crash capture
+    — a build or solver exception becomes ``error:crash``, a
+    MemoryError ``error:oom``, an injected hang the cooperative
+    timeout verdict, and transient faults are retried with backoff up
+    to ``policy.max_retries``.
+    """
+    attempt = 1
+    obs_runtime.task_started(task.task_id)
+    tracer = obs_runtime.TRACER
+    span = (
+        tracer.begin("task", {"task": task.task_id})
+        if tracer is not None
+        else None
+    )
+    prof = (
+        profile_path(policy.profile_dir, task.task_id)
+        if policy.profile_dir
+        else None
+    )
+    record: Optional[dict] = None
+    try:
+        while True:
+            start = time.monotonic()
+            try:
+                with maybe_profile(prof):
+                    plan.fire(
+                        task.task_id,
+                        task.index,
+                        attempt,
+                        isolated=False,
+                        timeout=task.timeout,
+                        mem_limit_mb=policy.mem_limit_mb,
+                    )
+                    system = task.build_system()
+                    record = worker_mod.solve_task(
+                        system,
+                        task.solver,
+                        task.timeout,
+                        task.expected_status,
+                        engine_pool=engine_pool,
+                        solver_opts=policy.solver_opts,
+                    )
+            except TransientWorkerFault as error:
+                if attempt <= policy.max_retries:
+                    attempt += 1
+                    time.sleep(policy.backoff(task.task_id, attempt))
+                    continue
+                record = worker_mod.crash_record(
+                    error, time.monotonic() - start, transient=True
+                )
+            except CooperativeHang as error:
+                record = _cooperative_timeout_record(
+                    error, time.monotonic() - start
+                )
+            except Exception as error:  # MemoryError included
+                record = worker_mod.crash_record(
+                    error, time.monotonic() - start
+                )
+            break
+    finally:
+        if span is not None:
+            span.args["status"] = (
+                record.get("status") if record is not None else None
+            )
+            tracer.end(span)
+        obs_runtime.task_finished()
+    return record, attempt
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,13 @@ traceback, a MemoryError under the RSS/address-space cap becomes
 ``error:oom`` — while hangs and hard kills are the supervisor's
 business (a hung worker never writes, so the watchdog classifies it).
 
-The same :func:`solve_task` drives the in-process execution path, so
-isolated and in-process campaigns produce identical verdicts by
-construction (``benchmarks/bench_exec.py`` gates this).
+The same :func:`solve_task` — with the solver built by
+:func:`repro.harness.runner.make_solver`, the one solver factory — and
+the same :func:`engine_pool_for` drive the in-process execution path
+(:func:`repro.exec.supervisor.solve_inprocess`, which every in-process
+campaign and ``run_problem`` go through), so isolated and in-process
+campaigns produce identical verdicts by construction
+(``benchmarks/bench_exec.py`` gates this).
 """
 
 from __future__ import annotations
@@ -58,25 +62,19 @@ def jsonable(value: Any, depth: int = 6) -> Any:
     return str(value)
 
 
-def make_task_solver(
-    solver_name: str,
-    timeout: float,
-    *,
-    engine_pool=None,
-    solver_opts: Optional[dict] = None,
-):
-    """Instantiate a solver; ``solver_opts`` are RInGen-only knobs."""
-    from repro.harness.runner import make_solver
+def engine_pool_for(solver_opts: Optional[dict]):
+    """The campaign :class:`~repro.mace.pool.EnginePool` matching the
+    RInGen knobs in ``solver_opts`` (SAT backend, learned-clause
+    policy, disk warm cache) — one construction for workers and the
+    in-process supervisor alike."""
+    from repro.mace.pool import EnginePool
 
-    if solver_name == "ringen" and solver_opts:
-        from repro.core.ringen import RInGen, RInGenConfig
-
-        return RInGen(
-            RInGenConfig(
-                timeout=timeout, engine_pool=engine_pool, **solver_opts
-            )
-        )
-    return make_solver(solver_name, timeout, engine_pool=engine_pool)
+    opts = solver_opts or {}
+    return EnginePool(
+        lbd_retention=opts.get("lbd_retention", True),
+        sat_backend=opts.get("sat_backend", "python"),
+        cache_dir=opts.get("engine_cache_dir"),
+    )
 
 
 def crash_record(
@@ -94,7 +92,7 @@ def crash_record(
         "exception_type": type(error).__name__,
         "traceback": traceback.format_exc(limit=20),
         "transient": transient,
-        "details": {},
+        "details": {"exception_type": type(error).__name__},
     }
 
 
@@ -114,9 +112,11 @@ def solve_task(
     MemoryError yields ``error:oom`` — the structured verdicts the
     supervisor journals instead of losing the campaign.
     """
+    from repro.harness.runner import make_solver
+
     start = time.monotonic()
     try:
-        solver = make_task_solver(
+        solver = make_solver(
             solver_name,
             timeout,
             engine_pool=engine_pool,
@@ -253,13 +253,7 @@ def worker_entry(conn, payload: dict) -> None:
     snap_seq = int(payload.get("engine_snapshot_seq") or 0)
     pool = None
     if payload.get("share_engines"):
-        from repro.mace.pool import EnginePool
-
-        pool = EnginePool(
-            lbd_retention=(solver_opts or {}).get("lbd_retention", True),
-            sat_backend=(solver_opts or {}).get("sat_backend", "python"),
-            cache_dir=(solver_opts or {}).get("engine_cache_dir"),
-        )
+        pool = engine_pool_for(solver_opts)
         warm = payload.get("engine_snapshot")
         if warm is not None:
             # warm start: a predecessor's engine state for this batch's

@@ -277,10 +277,10 @@ def campaign_report(
         )
         sections.append("")
 
-    # supervised execution: worker / retry / resume accounting
+    # execution layer: worker / retry / resume accounting
     if campaign.exec_stats is not None:
         stats = campaign.exec_stats
-        sections.append("## Execution — supervised campaign")
+        sections.append("## Execution — campaign")
         sections.append("")
         error_counts = stats.get("error_counts") or {}
         rows = [

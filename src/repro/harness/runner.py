@@ -5,21 +5,37 @@ records verdicts + wall times, checks each verdict against the problem's
 ground truth (a wrong SAT/UNSAT is counted as *incorrect* and excluded
 from the solved tallies, mirroring how solver competitions score), and
 aggregates into the paper's tables and figures.
+
+Execution is not this module's business: :func:`run_campaign` turns the
+(suite x solver) product into :class:`~repro.exec.supervisor.TaskSpec`
+lists and hands them to :func:`~repro.exec.supervisor.execute_tasks` —
+the one campaign loop, in-process or isolated — then rehydrates the
+verdict dicts into :class:`RunRecord` and publishes the campaign's
+metrics (:func:`publish_campaign_metrics`, shared with the CLI).
+:func:`run_problem` runs a single task through the same in-process
+per-task code.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import logging
-import time
-import traceback as traceback_mod
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.benchgen.suite import Problem, Suite
 from repro.chc.transform import preprocess
 from repro.core.result import SolveResult, Status
 from repro.core.ringen import RInGen, RInGenConfig
+from repro.exec.faults import ReproFaultPlan
+from repro.exec.supervisor import (
+    ExecPolicy,
+    ExecStats,
+    TaskSpec,
+    execute_tasks,
+    solve_inprocess,
+)
 from repro.mace.pool import EnginePool, signature_fingerprint
 from repro.obs import runtime as obs_runtime
 from repro.solvers.elem import ElemConfig, ElemSolver
@@ -46,26 +62,20 @@ def make_solver(
     timeout: float,
     *,
     engine_pool: Optional[EnginePool] = None,
-    sat_backend: str = "python",
-    engine_cache_dir: Optional[str] = None,
-    sweep_shards: int = 1,
+    solver_opts: Optional[dict] = None,
 ):
     """Instantiate a solver under its Table 1 alias.
 
-    ``engine_pool`` (campaign batch mode), ``sat_backend`` (the SAT
-    engine under the model finder), ``engine_cache_dir`` (the disk
-    warm cache of serialized engines) and ``sweep_shards`` (speculative
-    parallel size sweeps) only concern RInGen — the baselines have no
-    incremental engine to share and ignore them.
+    ``engine_pool`` (campaign batch mode) and ``solver_opts`` (further
+    :class:`~repro.core.ringen.RInGenConfig` fields: the SAT backend,
+    the disk warm cache, sweep shards, the ablation switches) only
+    concern RInGen — the baselines have no incremental engine to share
+    and ignore them.
     """
     if name == "ringen":
         return RInGen(
             RInGenConfig(
-                timeout=timeout,
-                engine_pool=engine_pool,
-                sat_backend=sat_backend,
-                engine_cache_dir=engine_cache_dir,
-                sweep_shards=sweep_shards,
+                timeout=timeout, engine_pool=engine_pool, **(solver_opts or {})
             )
         )
     if name == "eldarica":
@@ -121,8 +131,8 @@ class Campaign:
     # campaign batch mode: cross-problem engine reuse counters from the
     # shared EnginePool (None when every problem got a fresh engine)
     pool_stats: Optional[dict] = None
-    # supervised execution: retry/resume/worker accounting from
-    # repro.exec (None for the plain in-process fast path), plus
+    # execution-layer retry/resume/worker accounting from repro.exec
+    # (ExecStats.as_dict; None only for hand-assembled campaigns), plus
     # whether the campaign was stopped by SIGINT/SIGTERM — in which
     # case the records are the partial, journaled prefix
     exec_stats: Optional[dict] = None
@@ -241,27 +251,35 @@ def batch_order(problems: Sequence[Problem]) -> list[Problem]:
     groups: dict[tuple, list[Problem]] = {}
     order: list[tuple] = []
     for problem in problems:
-        try:
-            key = signature_fingerprint(preprocess(problem.build()))
-        except Exception as error:
-            # an unfingerprintable problem still runs (in its own group,
-            # on a fresh engine) — but a build/preprocess failure here
-            # predicts a failure at solve time, so say so instead of
-            # hiding it
-            logger.warning(
-                "batch_order: could not fingerprint %s/%s (%s: %s); "
-                "scheduling it unshared",
-                problem.suite,
-                problem.name,
-                type(error).__name__,
-                error,
-            )
+        key = _signature_key(problem.build, f"{problem.suite}/{problem.name}")
+        if key is None:
+            # an unfingerprintable problem still runs, in its own group
             key = ("unfingerprintable", problem.suite, problem.name)
         if key not in groups:
             groups[key] = []
             order.append(key)
         groups[key].append(problem)
     return [p for key in order for p in groups[key]]
+
+
+def _signature_key(build: Callable[[], object], label: str) -> Optional[tuple]:
+    """The engine-pool key of a problem, or ``None`` (with a warning)
+    when it cannot be built or preprocessed.
+
+    Fingerprints the *preprocessed* system — the form RInGen hands to
+    the pool.  A failure here predicts a failure at solve time, so it
+    is logged rather than hidden; the problem then runs unshared.
+    """
+    try:
+        return signature_fingerprint(preprocess(build()))
+    except Exception as error:
+        logger.warning(
+            "could not fingerprint %s (%s: %s); running it unshared",
+            label,
+            type(error).__name__,
+            error,
+        )
+        return None
 
 
 def run_problem(
@@ -271,77 +289,27 @@ def run_problem(
     *,
     engine_pool: Optional[EnginePool] = None,
 ) -> RunRecord:
-    """Run one solver on one problem and score the verdict."""
-    task_id = task_id_for(problem, solver_name)
-    obs_runtime.task_started(task_id)
-    tracer = obs_runtime.TRACER
-    span_cm = (
-        tracer.span("task", {"task": task_id})
-        if tracer is not None
-        else contextlib.nullcontext()
-    )
-    try:
-        with span_cm:
-            return _run_problem_impl(
-                problem, solver_name, timeout, engine_pool=engine_pool
-            )
-    finally:
-        obs_runtime.task_finished()
+    """Run one solver on one problem and score the verdict.
 
-
-def _run_problem_impl(
-    problem: Problem,
-    solver_name: str,
-    timeout: float,
-    *,
-    engine_pool: Optional[EnginePool] = None,
-) -> RunRecord:
-    start = time.monotonic()
-    try:
-        solver = make_solver(solver_name, timeout, engine_pool=engine_pool)
-        system = problem.build()
-        result = solver.solve(system)
-    except Exception as error:
-        # A crash is a structured error verdict, not an honest
-        # "unknown": the record keeps the exception type and traceback
-        # and the report lists it in a dedicated errors section.
-        logger.warning(
-            "%s/%s %s crashed: %s: %s",
-            problem.suite,
-            problem.name,
-            solver_name,
-            type(error).__name__,
-            error,
-        )
-        return RunRecord(
-            problem,
-            solver_name,
-            Status.UNKNOWN,
-            time.monotonic() - start,
-            True,
-            reason=f"error:crash: {type(error).__name__}: {error}",
-            details={"exception_type": type(error).__name__},
-            error_kind="crash",
-            traceback=traceback_mod.format_exc(limit=20),
-        )
-    elapsed = time.monotonic() - start
-    correct = (
-        result.status is Status.UNKNOWN
-        or result.status.value == problem.expected_status
+    The same per-task code as an in-process campaign task
+    (:func:`repro.exec.supervisor.solve_inprocess`), without a fault
+    plan: a build or solver crash becomes a structured ``error:crash``
+    record.
+    """
+    task = TaskSpec(
+        task_id=task_id_for(problem, solver_name),
+        solver=solver_name,
+        timeout=timeout,
+        expected_status=problem.expected_status,
+        problem=problem,
     )
-    model_size = None
-    if result.is_sat:
-        model_size = result.details.get("model_size")
-    return RunRecord(
-        problem,
-        solver_name,
-        result.status,
-        elapsed,
-        correct,
-        model_size,
-        result.reason,
-        dict(result.details),
+    record, _ = solve_inprocess(
+        task,
+        ExecPolicy(),
+        ReproFaultPlan(),
+        engine_pool=engine_pool,
     )
+    return _record_from_exec(problem, solver_name, record)
 
 
 def run_campaign(
@@ -356,10 +324,11 @@ def run_campaign(
     isolate: bool = False,
     journal_path: Optional[str] = None,
     resume: bool = False,
-    policy: Optional[object] = None,
+    policy: Optional[ExecPolicy] = None,
     engine_cache_dir: Optional[str] = None,
 ) -> Campaign:
-    """Run the full (suite x solver) product.
+    """Run the full (suite x solver) product through
+    :func:`repro.exec.supervisor.execute_tasks`.
 
     ``share_engines`` switches on campaign batch mode: one
     :class:`~repro.mace.pool.EnginePool` spans the whole run (pass
@@ -372,71 +341,104 @@ def run_campaign(
     cache, so a later campaign over the same benchmark families starts
     from this one's solver state (flushed when the run completes).
 
-    Supervised execution (``isolate``, ``journal_path``, ``resume``, or
-    an explicit :class:`repro.exec.ExecPolicy` in ``policy``) routes
-    every task through :mod:`repro.exec`: worker subprocesses with a
-    hard watchdog and memory cap, retry with backoff for transient
-    failures, a flushed JSONL journal with checkpoint/resume, and
-    graceful SIGINT/SIGTERM shutdown that returns the partial campaign
+    Execution follows ``policy`` (an :class:`~repro.exec.ExecPolicy`,
+    default in-process; it is copied, never modified) with ``isolate``
+    switching on worker subprocesses: a hard watchdog and memory cap,
+    retry with backoff for transient failures, and — with
+    ``journal_path``/``resume`` — a flushed JSONL journal with
+    checkpoint/resume.  SIGINT/SIGTERM return the partial campaign
     (``Campaign.interrupted``).  In isolated + ``share_engines`` mode
     each signature-compatible batch rides one worker with a private
-    engine pool — the in-process sharing, preserved per worker.  The
-    plain in-process path below stays the default and is byte-for-byte
-    the pre-supervisor behaviour.
+    engine pool — the in-process sharing, preserved per worker.
+    ``progress`` receives one ``<suite>/<problem>/<solver>: <status>
+    (<seconds>s)`` line per verdict.
     """
     solvers = list(solvers or SOLVER_ORDER)
-    if isolate or journal_path or resume or policy is not None:
-        return _run_campaign_supervised(
-            suites,
-            solvers=solvers,
-            timeout=timeout,
-            progress=progress,
-            problem_filter=problem_filter,
-            share_engines=share_engines,
-            engine_pool=engine_pool,
-            isolate=isolate,
-            journal_path=journal_path,
-            resume=resume,
-            policy=policy,
-            engine_cache_dir=engine_cache_dir,
-        )
-    campaign = Campaign(timeout=timeout)
-    pool = engine_pool
-    if share_engines and pool is None:
-        pool = EnginePool(cache_dir=engine_cache_dir)
+    base = policy or ExecPolicy()
+    policy = dataclasses.replace(
+        base,
+        isolate=base.isolate or isolate,
+        share_engines=base.share_engines
+        or share_engines
+        or engine_pool is not None,
+    )
+    if engine_cache_dir:
+        # ship the warm-cache location through the solver options
+        # (RInGenConfig.engine_cache_dir); the journal's config
+        # fingerprint deliberately ignores this key
+        policy.solver_opts = {
+            "engine_cache_dir": engine_cache_dir,
+            **(policy.solver_opts or {}),
+        }
+    tasks: list[TaskSpec] = []
+    task_problems: dict[str, tuple[Problem, str]] = {}
+    for suite in suites:
+        problems = [
+            p
+            for p in suite
+            if problem_filter is None or problem_filter(p)
+        ]
+        if policy.share_engines:
+            problems = batch_order(problems)
+        for problem in problems:
+            group_key = None
+            if policy.share_engines and policy.isolate:
+                group_key = _signature_key(
+                    problem.build, f"{problem.suite}/{problem.name}"
+                )
+            for solver_name in solvers:
+                tid = task_id_for(problem, solver_name)
+                tasks.append(
+                    TaskSpec(
+                        task_id=tid,
+                        solver=solver_name,
+                        timeout=timeout,
+                        expected_status=problem.expected_status,
+                        problem=problem,
+                        index=len(tasks),
+                        # only ringen rides the engine pool; batching
+                        # the baselines by signature would be pointless
+                        group_key=(
+                            group_key if solver_name == "ringen" else None
+                        ),
+                    )
+                )
+                task_problems[tid] = (problem, solver_name)
     tracer = obs_runtime.TRACER
     span_cm = (
         tracer.span(
-            "campaign", {"suites": len(suites), "solvers": list(solvers)}
+            "campaign",
+            {
+                "suites": len(suites),
+                "solvers": solvers,
+                "isolate": policy.isolate,
+            },
         )
         if tracer is not None
         else contextlib.nullcontext()
     )
     with span_cm:
-        for suite in suites:
-            problems = [
-                p
-                for p in suite
-                if problem_filter is None or problem_filter(p)
-            ]
-            if pool is not None:
-                problems = batch_order(problems)
-            for problem in problems:
-                for solver_name in solvers:
-                    record = run_problem(
-                        problem, solver_name, timeout, engine_pool=pool
-                    )
-                    campaign.add(record)
-                    if progress is not None:
-                        progress(
-                            f"{problem.suite}/{problem.name} "
-                            f"{solver_name}: {record.status} "
-                            f"({record.elapsed:.2f}s)"
-                        )
-    if pool is not None:
-        pool.flush_cache()
-        campaign.pool_stats = pool.as_dict()
-    _publish_campaign_obs(campaign)
+        records, stats = execute_tasks(
+            tasks,
+            policy,
+            journal_path=journal_path,
+            resume=resume,
+            progress=progress,
+            engine_pool=engine_pool,
+        )
+    campaign = Campaign(
+        timeout=timeout,
+        pool_stats=stats.pool_stats,
+        exec_stats=stats.as_dict(),
+        interrupted=stats.interrupted,
+    )
+    for task in tasks:
+        rec = records.get(task.task_id)
+        if rec is None:
+            continue  # interrupted before this task ran
+        problem, solver_name = task_problems[task.task_id]
+        campaign.add(_record_from_exec(problem, solver_name, rec))
+    campaign.obs = publish_campaign_metrics(records.values(), stats)
     return campaign
 
 
@@ -445,41 +447,48 @@ def task_id_for(problem: Problem, solver_name: str) -> str:
     return f"{problem.suite}/{problem.name}/{solver_name}"
 
 
-def _publish_campaign_obs(campaign: Campaign) -> None:
-    """Fold the finished campaign into the metrics registry (if any)
-    and hang the merged snapshot on ``campaign.obs``.
+def publish_campaign_metrics(
+    records: Iterable[dict], stats: ExecStats
+) -> Optional[dict]:
+    """Fold a finished campaign into the metrics registry and return
+    the merged snapshot (``None`` when metrics are off).
 
-    Per-record: the ``task.elapsed`` timing histogram, status and error
-    tallies, and the model finder's stats dict.  Campaign-level: the
-    pool and execution-layer counters.  The ``phase.*`` and ``sat.*``
-    counters were already published at solve time by the instrumented
-    layers themselves.
+    ``records`` are :func:`~repro.exec.supervisor.execute_tasks`
+    verdict dicts.  Per record: the ``task.elapsed`` timing histogram,
+    status and error tallies, and the model finder's stats dict.
+    Campaign-level: the pool counters (``pool.engines_live`` is a
+    gauge) and the execution-layer counters.  The ``phase.*`` and
+    ``sat.*`` counters were already published at solve time by the
+    instrumented layers themselves.
     """
     metrics = obs_runtime.METRICS
     if metrics is None:
-        return
-    for r in campaign.records:
-        metrics.timing("task.elapsed", r.elapsed)
-        metrics.inc(f"task.status.{r.status.value}")
-        if r.error_kind:
-            metrics.inc(f"task.error.{r.error_kind}")
-        finder = r.details.get("finder")
+        return None
+    for rec in records:
+        metrics.timing("task.elapsed", float(rec.get("elapsed") or 0.0))
+        metrics.inc(f"task.status.{rec.get('status') or 'unknown'}")
+        if rec.get("error_kind"):
+            metrics.inc(f"task.error.{rec['error_kind']}")
+        finder = (rec.get("details") or {}).get("finder")
         if isinstance(finder, dict):
             metrics.publish("finder", finder)
-    if campaign.pool_stats:
-        metrics.publish("pool", campaign.pool_stats)
-    if campaign.exec_stats:
-        metrics.publish(
-            "exec",
-            {
-                k: v
-                for k, v in campaign.exec_stats.items()
-                # pool counters go in under their own prefix above; the
-                # last heartbeat is a point sample, not a counter
-                if k not in ("pool_stats", "last_heartbeat")
-            },
-        )
-    campaign.obs = metrics.snapshot()
+    if stats.pool_stats:
+        pool = dict(stats.pool_stats)
+        live = pool.pop("engines_live", None)
+        metrics.publish("pool", pool)
+        if live is not None:
+            metrics.gauge("pool.engines_live", live)
+    metrics.publish(
+        "exec",
+        {
+            k: v
+            for k, v in stats.as_dict().items()
+            # pool counters go in under their own prefix above; the
+            # last heartbeat is a point sample, not a counter
+            if k not in ("pool_stats", "last_heartbeat")
+        },
+    )
+    return metrics.snapshot()
 
 
 def _record_from_exec(problem: Problem, solver_name: str, rec: dict) -> RunRecord:
@@ -497,122 +506,3 @@ def _record_from_exec(problem: Problem, solver_name: str, rec: dict) -> RunRecor
         attempts=int(rec.get("attempts") or 1),
         traceback=rec.get("traceback") or "",
     )
-
-
-def _run_campaign_supervised(
-    suites: Sequence[Suite],
-    *,
-    solvers: Sequence[str],
-    timeout: float,
-    progress: Optional[Callable[[str], None]],
-    problem_filter: Optional[Callable[[Problem], bool]],
-    share_engines: bool,
-    engine_pool: Optional[EnginePool],
-    isolate: bool,
-    journal_path: Optional[str],
-    resume: bool,
-    policy: Optional[object],
-    engine_cache_dir: Optional[str] = None,
-) -> Campaign:
-    """The supervised campaign loop (see :func:`run_campaign`)."""
-    # imported here so the default fast path never pays for (or cycles
-    # with) the execution layer
-    from repro.exec.supervisor import ExecPolicy, TaskSpec, execute_tasks
-
-    if policy is None:
-        policy = ExecPolicy()
-    policy.isolate = policy.isolate or isolate
-    policy.share_engines = policy.share_engines or share_engines
-    if engine_cache_dir:
-        # ship the warm-cache location to workers through the solver
-        # options (RInGenConfig.engine_cache_dir); the journal's config
-        # fingerprint deliberately ignores this key
-        opts = dict(policy.solver_opts or {})
-        opts.setdefault("engine_cache_dir", engine_cache_dir)
-        policy.solver_opts = opts
-    tasks: list[TaskSpec] = []
-    task_problems: dict[str, tuple[Problem, str]] = {}
-    index = 0
-    for suite in suites:
-        problems = [
-            p
-            for p in suite
-            if problem_filter is None or problem_filter(p)
-        ]
-        if policy.share_engines:
-            problems = batch_order(problems)
-        for problem in problems:
-            group_key = None
-            if policy.share_engines and policy.isolate:
-                try:
-                    group_key = signature_fingerprint(
-                        preprocess(problem.build())
-                    )
-                except Exception as error:
-                    logger.warning(
-                        "could not fingerprint %s/%s for batching "
-                        "(%s); running it unshared",
-                        problem.suite,
-                        problem.name,
-                        error,
-                    )
-            for solver_name in solvers:
-                tid = task_id_for(problem, solver_name)
-                tasks.append(
-                    TaskSpec(
-                        task_id=tid,
-                        solver=solver_name,
-                        timeout=timeout,
-                        expected_status=problem.expected_status,
-                        problem=problem,
-                        index=index,
-                        # only ringen rides the engine pool; batching
-                        # the baselines by signature would be pointless
-                        group_key=(
-                            group_key if solver_name == "ringen" else None
-                        ),
-                    )
-                )
-                task_problems[tid] = (problem, solver_name)
-                index += 1
-    pool = engine_pool
-    if policy.share_engines and not policy.isolate and pool is None:
-        pool = EnginePool(cache_dir=engine_cache_dir)
-    tracer = obs_runtime.TRACER
-    span_cm = (
-        tracer.span(
-            "campaign",
-            {
-                "suites": len(suites),
-                "solvers": list(solvers),
-                "isolate": policy.isolate,
-            },
-        )
-        if tracer is not None
-        else contextlib.nullcontext()
-    )
-    with span_cm:
-        records, stats = execute_tasks(
-            tasks,
-            policy,
-            journal_path=journal_path,
-            resume=resume,
-            progress=progress,
-            engine_pool=pool,
-        )
-    campaign = Campaign(timeout=timeout)
-    for task in tasks:
-        rec = records.get(task.task_id)
-        if rec is None:
-            continue  # interrupted before this task ran
-        problem, solver_name = task_problems[task.task_id]
-        campaign.add(_record_from_exec(problem, solver_name, rec))
-    campaign.exec_stats = stats.as_dict()
-    campaign.interrupted = stats.interrupted
-    if pool is not None:
-        pool.flush_cache()
-        campaign.pool_stats = pool.as_dict()
-    elif stats.pool_stats is not None:
-        campaign.pool_stats = stats.pool_stats
-    _publish_campaign_obs(campaign)
-    return campaign

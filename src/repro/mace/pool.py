@@ -64,7 +64,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.chc.clauses import CHCSystem
-from repro.obs import runtime as obs_runtime
 from repro.mace.finder import (
     ENGINE_SNAPSHOT_VERSION,
     EngineSnapshotError,
@@ -114,8 +113,10 @@ class PoolStats:
     configuration) — rejections always fall back cold.
 
     ``engines_live`` is a gauge, refreshed by :meth:`EnginePool.as_dict`;
-    everything else is a monotone counter.  :meth:`as_dict` is the one
-    serialization used by reports and JSON artifacts.
+    everything else is a monotone counter (the campaign metrics
+    publisher, ``repro.harness.runner.publish_campaign_metrics``,
+    follows the same split).  :meth:`as_dict` is the one serialization
+    used by reports and JSON artifacts.
     """
 
     problems: int = 0
@@ -482,16 +483,3 @@ class EnginePool:
         """Plain-dict stats view for reports / JSON artifacts."""
         self.stats.engines_live = len(self._engines)
         return self.stats.as_dict()
-
-    def publish_metrics(self) -> None:
-        """Fold the pool counters into the active metrics registry
-        (no-op when metrics are off); ``engines_live`` goes in as a
-        gauge, everything else as additive counters."""
-        metrics = obs_runtime.METRICS
-        if metrics is None:
-            return
-        snap = self.as_dict()
-        live = snap.pop("engines_live", None)
-        metrics.publish("pool", snap)
-        if live is not None:
-            metrics.gauge("pool.engines_live", live)

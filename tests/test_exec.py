@@ -14,6 +14,7 @@ import pytest
 
 from repro.benchgen.suite import Problem, Suite
 from repro.core.result import Status
+from repro.core.ringen import RInGen, RInGenConfig
 from repro.exec import (
     CampaignInterrupted,
     ExecPolicy,
@@ -184,15 +185,32 @@ class TestRunProblemErrors:
 
 
 class TestSupervisedInprocess:
-    def test_verdicts_match_legacy(self):
-        legacy = run_campaign([tiny_suite()], solvers=["ringen"], timeout=5.0)
+    def test_verdicts_match_direct_solve(self):
         supervised = run_campaign(
             [tiny_suite()], solvers=["ringen"], timeout=5.0,
             policy=ExecPolicy(),
         )
-        assert verdicts(legacy) == verdicts(supervised)
+        reference = {}
+        for problem in tiny_suite():
+            result = RInGen(RInGenConfig(timeout=5.0)).solve(problem.build())
+            reference[task_id_for(problem, "ringen")] = (
+                result.status.value,
+                result.status.value == problem.expected_status,
+            )
+        assert verdicts(supervised) == reference
         assert supervised.exec_stats["isolate"] is False
         assert supervised.exec_stats["tasks_executed"] == 3
+
+    def test_caller_policy_is_not_modified(self, tmp_path):
+        policy = ExecPolicy()
+        run_campaign(
+            [tiny_suite()], solvers=["ringen"], timeout=5.0,
+            isolate=True, share_engines=True,
+            engine_cache_dir=str(tmp_path / "engines"), policy=policy,
+        )
+        assert policy == ExecPolicy()
+        assert not policy.isolate and not policy.share_engines
+        assert policy.solver_opts is None
 
     def test_flaky_retried_with_backoff(self):
         plan = ReproFaultPlan.parse("flaky@0x1")

@@ -108,6 +108,109 @@ class TestCli:
         assert proc.stdout.startswith("sat")
 
 
+class TestCampaignCli:
+    """``repro campaign``: every mode runs the same supervised loop."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Two signature-compatible SAT files, one UNSAT, one broken."""
+        paths = {}
+        for name, factory in (
+            ("even", even_system),
+            ("even2", even_system),
+            ("odd", odd_unsat_system),
+        ):
+            paths[name] = tmp_path / f"{name}.smt2"
+            paths[name].write_text(print_system(factory()))
+        paths["broken"] = tmp_path / "broken.smt2"
+        paths["broken"].write_text("(this is not smtlib")
+        return paths
+
+    @staticmethod
+    def run(capsys, *args):
+        code = cli_main(["campaign", "--timeout", "10", *map(str, args)])
+        captured = capsys.readouterr()
+        return code, captured.out.splitlines(), captured.err
+
+    @staticmethod
+    def verdicts(lines):
+        """Per-file verdicts, elapsed seconds stripped."""
+        return [
+            line.rsplit(" (", 1)[0]
+            for line in lines
+            if not line.startswith(";")
+        ]
+
+    def test_per_file_lines_and_exit_code(self, files, capsys):
+        code, out, err = self.run(
+            capsys, files["even"], files["broken"], files["odd"]
+        )
+        assert code == 1  # the unparsable file has no sat/unsat answer
+        assert self.verdicts(out) == [
+            f"{files['even']}: sat",
+            f"{files['odd']}: unsat",
+        ]
+        assert all(
+            line.endswith("s)") for line in out if not line.startswith(";")
+        )
+        assert f"{files['broken']}: error:" in err
+
+    def test_pool_summary_line(self, files, capsys):
+        code, out, _ = self.run(capsys, files["even"], files["even2"])
+        assert code == 0
+        pool = [line for line in out if line.startswith("; pool:")]
+        assert len(pool) == 1
+        assert pool[0].startswith(
+            "; pool: 2 problems, 1 engines, 1 warm-engine hits, "
+        )
+        assert any(line.startswith("; exec:") for line in out)
+
+    def test_quiet_prints_verdicts_only(self, files, capsys):
+        _, out, _ = self.run(capsys, "--quiet", files["even"], files["odd"])
+        assert not any(line.startswith(";") for line in out)
+        assert len(out) == 2
+
+    def test_inprocess_and_isolated_verdicts_identical(self, files, capsys):
+        paths = [files["even"], files["odd"], files["even2"]]
+        code_in, inproc, _ = self.run(capsys, *paths)
+        code_iso, isolated, _ = self.run(capsys, "--isolate", *paths)
+        assert code_in == code_iso == 0
+        assert self.verdicts(inproc) == self.verdicts(isolated)
+        assert len(self.verdicts(inproc)) == 3
+
+    @pytest.mark.parametrize("isolate", [False, True])
+    def test_no_share_warm_cache_writes_dir(
+        self, files, tmp_path, capsys, isolate
+    ):
+        cache = tmp_path / "engines"
+        flags = ["--isolate"] if isolate else []
+        code, _, _ = self.run(
+            capsys, *flags, "--no-share", "--warm-cache", cache, files["even"]
+        )
+        assert code == 0
+        assert len(list(cache.iterdir())) == 1
+
+    @pytest.mark.parametrize("isolate", [False, True])
+    def test_metrics_snapshot_has_every_namespace(
+        self, files, tmp_path, capsys, isolate
+    ):
+        import json
+
+        metrics = tmp_path / "metrics.json"
+        flags = ["--isolate"] if isolate else []
+        code, _, _ = self.run(
+            capsys, *flags, "--metrics", metrics,
+            files["even"], files["even2"], files["odd"],
+        )
+        assert code == 0
+        snap = json.loads(metrics.read_text())
+        keys = set(snap["counters"]) | set(snap["histograms"])
+        for prefix in ("finder.", "task.", "pool.", "exec."):
+            assert any(k.startswith(prefix) for k in keys), (prefix, keys)
+        assert "pool.engines_live" in snap["gauges"]
+        assert "pool.engines_live" not in snap["counters"]
+
+
 class TestSatisfiabilityPreservation:
     """Theorem 5 end to end, property-style: for random mod-family
     programs, the pipeline's SAT/UNSAT verdict matches ground truth."""

@@ -436,6 +436,25 @@ class TestDifferential:
         assert "## Timing breakdown — solver phases" in text
         assert "## Timing breakdown — task wall clock" in text
 
+    @pytest.mark.parametrize("isolate", [False, True])
+    def test_pool_engines_live_is_a_gauge(self, isolate):
+        suite = Suite("Twins")  # one signature: one shared engine
+        suite.add("even", "parity", even_system, "sat")
+        suite.add("even2", "parity", even_system, "sat")
+        obs_runtime.configure(metrics=True)
+        campaign = run_campaign(
+            [suite],
+            solvers=["ringen"],
+            timeout=5.0,
+            share_engines=True,
+            isolate=isolate,
+        )
+        obs_runtime.reset()
+        assert campaign.pool_stats is not None
+        assert "pool.engines_live" in campaign.obs["gauges"]
+        assert "pool.engines_live" not in campaign.obs["counters"]
+        assert "pool.problems" in campaign.obs["counters"]
+
     def test_report_without_obs_has_no_timing_section(self):
         campaign = self.run_tiny(isolate=False)
         assert campaign.obs is None
