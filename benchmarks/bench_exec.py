@@ -3,15 +3,17 @@
 Runs one quick campaign (the ``nat_mod`` family plus the three tiny
 paper systems) three ways:
 
-* **inprocess**: the legacy fast path, no supervisor;
-* **supervised**: the supervisor's in-process mode (journal, retry and
-  interrupt machinery armed, but no subprocesses);
+* **inprocess**: ``run_campaign`` with no policy (the default
+  in-process ``execute_tasks`` mode);
+* **supervised**: the same mode with an explicit ``ExecPolicy()``
+  (journal, retry and interrupt machinery armed, but no subprocesses);
 * **isolated**: one worker subprocess per task under the hard watchdog
   and a 1 GiB address-space cap.
 
 All three must produce identical (status, correctness) verdicts —
-:func:`repro.exec.worker.solve_task` drives both execution modes, so
-any divergence is a supervisor bug, not solver noise.  A fourth pass
+:func:`repro.exec.worker.run_task` is the one per-task function of both
+execution modes, so any divergence is a supervisor bug, not solver
+noise.  A fourth pass
 re-runs the isolated campaign under a fault plan injecting a crash, a
 hang, an OOM and a flaky task, and checks the three structured error
 verdicts land while every unfaulted task keeps its honest answer.

@@ -135,43 +135,65 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the refutation derivation on UNSAT answers",
     )
-    parser.add_argument(
+    _add_ringen_arguments(parser)
+    _add_obs_arguments(parser)
+    return parser
+
+
+def _add_ringen_arguments(parser: argparse.ArgumentParser) -> None:
+    """The RInGen solver knobs shared by ``solve`` and ``campaign``
+    (the baselines ignore them); :func:`_solver_opts` reads them back."""
+    group = parser.add_argument_group(
+        "ringen", "RInGen solver knobs (the baseline solvers ignore them)"
+    )
+    group.add_argument(
         "--no-cores",
         action="store_true",
-        help="disable the unsat-core-guided size sweep (ringen only)",
+        help="disable the unsat-core-guided size sweep",
     )
-    parser.add_argument(
+    group.add_argument(
         "--no-lbd",
         action="store_true",
-        help="legacy length-based learned-clause GC instead of LBD "
-        "tiers (ringen only)",
+        help="legacy length-based learned-clause GC instead of LBD tiers",
     )
-    parser.add_argument(
+    group.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
         default="python",
         help="SAT engine under the model finder: the in-repo "
         "pure-Python CDCL solver or the optional python-sat/Glucose "
-        "adapter (ringen only; default: python)",
+        "adapter (default: python)",
     )
-    parser.add_argument(
+    group.add_argument(
         "--sweep-shards",
         type=int,
         default=1,
         metavar="N",
-        help="speculatively solve N candidate size vectors in parallel "
-        "engine shards; the verdict is identical to the sequential "
-        "sweep (ringen only; default: 1)",
+        help="speculatively solve N candidate size vectors per problem "
+        "in parallel engine shards; the verdict is identical to the "
+        "sequential sweep, which isolated campaign workers always "
+        "run (default: 1)",
     )
-    parser.add_argument(
+    group.add_argument(
         "--warm-cache",
         metavar="DIR",
-        help="disk cache of serialized engines: warm-start from DIR if "
-        "a compatible engine is cached there, and persist this run's "
-        "engine back on completion (ringen only)",
+        help="disk cache of serialized engines: warm-start each "
+        "signature's engine from DIR when compatible state is cached "
+        "there, and persist the run's engines back on completion",
     )
-    _add_obs_arguments(parser)
-    return parser
+
+
+def _solver_opts(args) -> dict:
+    """RInGenConfig fields from the :func:`_add_ringen_arguments` flags."""
+    opts = {
+        "core_guided_sweep": not args.no_cores,
+        "lbd_retention": not args.no_lbd,
+        "sat_backend": args.backend,
+        "sweep_shards": args.sweep_shards,
+    }
+    if args.warm_cache:
+        opts["engine_cache_dir"] = args.warm_cache
+    return opts
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -228,32 +250,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         help="suppress the pool summary (verdict lines only)",
     )
     parser.add_argument(
-        "--no-cores",
-        action="store_true",
-        help="disable the unsat-core-guided size sweep",
-    )
-    parser.add_argument(
-        "--no-lbd",
-        action="store_true",
-        help="legacy length-based learned-clause GC instead of LBD tiers",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="python",
-        help="SAT engine under every model finder in the campaign "
-        "(default: python)",
-    )
-    parser.add_argument(
-        "--sweep-shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="speculatively solve N candidate size vectors in parallel "
-        "engine shards per problem; verdicts are identical to the "
-        "sequential sweep (default: 1)",
-    )
-    parser.add_argument(
         "--isolate",
         action="store_true",
         help="run each problem in a supervised worker subprocess with a "
@@ -289,13 +285,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         help="per-worker address-space cap in MiB; allocation beyond it "
         "becomes a structured error:oom verdict (isolated mode)",
     )
-    parser.add_argument(
-        "--warm-cache",
-        metavar="DIR",
-        help="disk cache of serialized engines: warm-start each "
-        "signature's engine from DIR when compatible state is cached "
-        "there, and persist the campaign's engines back on completion",
-    )
+    _add_ringen_arguments(parser)
     _add_obs_arguments(parser)
     return parser
 
@@ -413,19 +403,11 @@ def _campaign(args) -> int:
         legacy_line_subscriber,
     )
 
-    solver_opts = {
-        "core_guided_sweep": not args.no_cores,
-        "lbd_retention": not args.no_lbd,
-        "sat_backend": args.backend,
-        "sweep_shards": args.sweep_shards,
-    }
-    if args.warm_cache:
-        solver_opts["engine_cache_dir"] = args.warm_cache
     policy = ExecPolicy(
         isolate=args.isolate,
         share_engines=not args.no_share,
         mem_limit_mb=args.mem_limit,
-        solver_opts=solver_opts,
+        solver_opts=_solver_opts(args),
         profile_dir=args.profile,
         # heartbeats from workers (or the in-process sampler), rendered
         # at most once per second
@@ -539,14 +521,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"parse error: {error}", file=sys.stderr)
         return 2
 
-    solver = SOLVERS[args.solver](
-        args.timeout,
-        core_guided_sweep=not args.no_cores,
-        lbd_retention=not args.no_lbd,
-        sat_backend=args.backend,
-        engine_cache_dir=args.warm_cache,
-        sweep_shards=args.sweep_shards,
-    )
+    solver = SOLVERS[args.solver](args.timeout, **_solver_opts(args))
     from repro.obs import runtime as obs_runtime
     from repro.obs.profiler import maybe_profile, profile_path
 

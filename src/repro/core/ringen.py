@@ -19,6 +19,7 @@ outcomes tabulated in Table 1.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -82,7 +83,10 @@ class RInGenConfig:
     and model size match the sequential sweep by construction.
     Requires ``incremental``; with a pool attached, shards warm-start
     from the pool's snapshot for the signature, but shard-side learning
-    does not flow back into the pool.
+    does not flow back into the pool.  A daemonic process (an isolated
+    supervised worker) may not have children, so there the setting is
+    ignored and the sequential sweep runs — on the pooled engine when a
+    pool is attached — with the same verdicts by the parity contract.
     """
 
     max_model_size: int = 12
@@ -195,7 +199,11 @@ class RInGen:
             and cfg.lbd_retention == pool.lbd_retention
             and cfg.sat_backend == pool.sat_backend
         )
-        use_parallel = cfg.sweep_shards > 1 and cfg.incremental
+        use_parallel = (
+            cfg.sweep_shards > 1
+            and cfg.incremental
+            and not multiprocessing.current_process().daemon
+        )
         pooled = pool_compatible and not use_parallel
         if use_parallel:
             # speculative parallel portfolio: shards host private engine

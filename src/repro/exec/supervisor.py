@@ -32,9 +32,11 @@ the dead worker shipped.
 
 :func:`execute_tasks` is the only campaign loop in the system: the
 harness's ``run_campaign`` and the CLI's ``campaign`` verb both build
-:class:`TaskSpec` lists and hand them here, whatever their flags; the
-default ``isolate=False`` mode runs each task in this process through
-:func:`solve_inprocess`.
+:class:`TaskSpec` lists and hand them here, whatever their flags.  Both
+modes run each task through the one per-task function,
+:func:`repro.exec.worker.run_task`: the default ``isolate=False`` mode
+in this process, isolated mode inside the worker, which receives the
+batch as text-only :class:`TaskSpec` copies.
 
 Every failure path is exercised deterministically through
 :class:`~repro.exec.faults.ReproFaultPlan` (``REPRO_FAULT_PLAN``).
@@ -43,6 +45,7 @@ Every failure path is exercised deterministically through
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import logging
 import multiprocessing
 import signal
@@ -54,11 +57,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.exec import worker as worker_mod
-from repro.exec.faults import (
-    CooperativeHang,
-    ReproFaultPlan,
-    TransientWorkerFault,
-)
+from repro.exec.faults import ReproFaultPlan
 from repro.exec.journal import (
     ResultsJournal,
     check_meta,
@@ -72,7 +71,6 @@ from repro.obs.events import (
     ProgressMonitor,
     legacy_line_subscriber,
 )
-from repro.obs.profiler import maybe_profile, profile_path
 
 logger = logging.getLogger(__name__)
 
@@ -146,10 +144,10 @@ class TaskSpec:
     """One (problem, solver) unit of supervised work.
 
     Harness tasks carry a live ``problem`` (rendered to SMT-LIB text
-    only when a worker actually needs it); CLI tasks carry ``smt_text``
-    directly.  ``group_key`` marks signature-compatible tasks: with
-    engine sharing on, consecutive tasks with equal keys batch into one
-    worker.
+    only when a worker actually needs it, see :meth:`text_only`); CLI
+    tasks carry ``smt_text`` directly.  ``group_key`` marks
+    signature-compatible tasks: with engine sharing on, consecutive
+    tasks with equal keys batch into one worker.
     """
 
     task_id: str
@@ -168,14 +166,15 @@ class TaskSpec:
 
         return parse_chc(self.smt_text or "", name=self.task_id)
 
-    def payload_text(self) -> str:
-        """The SMT-LIB form shipped to workers (rendered once)."""
+    def text_only(self) -> "TaskSpec":
+        """The copy shipped to workers: SMT-LIB text (rendered once and
+        cached here), no live problem."""
         if self.smt_text is None:
             from repro.chc.printer import print_system
 
             assert self.problem is not None
             self.smt_text = print_system(self.problem.build())
-        return self.smt_text
+        return dataclasses.replace(self, problem=None)
 
 
 @dataclass
@@ -249,10 +248,11 @@ def execute_tasks(
     """Run every task under the policy; never lose finished verdicts.
 
     Returns ``(records, stats)``: ``records`` maps task ids to plain
-    verdict dicts (see :func:`repro.exec.worker.solve_task`), including
-    verdicts replayed from the journal on resume.  On SIGINT/SIGTERM
-    the partial records collected so far are returned with
-    ``stats.interrupted`` set — the journal already holds all of them.
+    verdict dicts (see :func:`repro.exec.worker.verdict_record`),
+    including verdicts replayed from the journal on resume.  On
+    SIGINT/SIGTERM the partial records collected so far are returned
+    with ``stats.interrupted`` set — the journal already holds all of
+    them.
 
     Progress reporting rides the :class:`~repro.obs.events.EventBus`:
     every verdict becomes a ``task_finished`` event and (with
@@ -395,22 +395,6 @@ def _finish(
         )
 
 
-def _cooperative_timeout_record(error: BaseException, elapsed: float) -> dict:
-    """The in-process analogue of a hang: the cooperative budget ran out."""
-    return {
-        "status": "unknown",
-        "elapsed": elapsed,
-        "correct": True,
-        "model_size": None,
-        "reason": "unknown: wall-clock timeout (cooperative)",
-        "error_kind": None,
-        "exception_type": type(error).__name__,
-        "traceback": "",
-        "transient": False,
-        "details": {"verdict_kind": "budget", "timeout_hit": True},
-    }
-
-
 @contextlib.contextmanager
 def _graceful_signals():
     """Convert SIGTERM into :class:`CampaignInterrupted` (main thread).
@@ -462,94 +446,14 @@ def _execute_inprocess(
     try:
         for task in pending:
             _check_injected_interrupt(task, plan, 1)
-            record, attempt = solve_inprocess(
-                task, policy, plan, engine_pool=engine_pool
+            record, attempt = worker_mod.run_task(
+                task, policy, plan, isolated=False, engine_pool=engine_pool
             )
             stats.retries += attempt - 1
             _finish(task, record, attempt, stats, results, journal, bus)
     finally:
         if monitor is not None:
             monitor.stop()
-
-
-def solve_inprocess(
-    task: TaskSpec,
-    policy: ExecPolicy,
-    plan: ReproFaultPlan,
-    *,
-    engine_pool=None,
-) -> tuple[dict, int]:
-    """Run one task in this process; ``(verdict record, attempts)``.
-
-    The per-task unit of the in-process mode: the task's obs
-    registration, span and profile, the fault plan, the build and
-    :func:`~repro.exec.worker.solve_task`, all under one crash capture
-    — a build or solver exception becomes ``error:crash``, a
-    MemoryError ``error:oom``, an injected hang the cooperative
-    timeout verdict, and transient faults are retried with backoff up
-    to ``policy.max_retries``.
-    """
-    attempt = 1
-    obs_runtime.task_started(task.task_id)
-    tracer = obs_runtime.TRACER
-    span = (
-        tracer.begin("task", {"task": task.task_id})
-        if tracer is not None
-        else None
-    )
-    prof = (
-        profile_path(policy.profile_dir, task.task_id)
-        if policy.profile_dir
-        else None
-    )
-    record: Optional[dict] = None
-    try:
-        while True:
-            start = time.monotonic()
-            try:
-                with maybe_profile(prof):
-                    plan.fire(
-                        task.task_id,
-                        task.index,
-                        attempt,
-                        isolated=False,
-                        timeout=task.timeout,
-                        mem_limit_mb=policy.mem_limit_mb,
-                    )
-                    system = task.build_system()
-                    record = worker_mod.solve_task(
-                        system,
-                        task.solver,
-                        task.timeout,
-                        task.expected_status,
-                        engine_pool=engine_pool,
-                        solver_opts=policy.solver_opts,
-                    )
-            except TransientWorkerFault as error:
-                if attempt <= policy.max_retries:
-                    attempt += 1
-                    time.sleep(policy.backoff(task.task_id, attempt))
-                    continue
-                record = worker_mod.crash_record(
-                    error, time.monotonic() - start, transient=True
-                )
-            except CooperativeHang as error:
-                record = _cooperative_timeout_record(
-                    error, time.monotonic() - start
-                )
-            except Exception as error:  # MemoryError included
-                record = worker_mod.crash_record(
-                    error, time.monotonic() - start
-                )
-            break
-    finally:
-        if span is not None:
-            span.args["status"] = (
-                record.get("status") if record is not None else None
-            )
-            tracer.end(span)
-        obs_runtime.task_finished()
-    return record, attempt
 
 
 # ---------------------------------------------------------------------------
@@ -665,21 +569,12 @@ def _batches(
 
 
 def _timeout_hard_record(task: TaskSpec, hard: float) -> dict:
-    return {
-        "status": "unknown",
-        "elapsed": hard,
-        "correct": True,
-        "model_size": None,
-        "reason": (
-            f"error:timeout_hard: worker killed after {hard:.1f}s hard "
-            f"wall clock (cooperative timeout {task.timeout:g}s)"
-        ),
-        "error_kind": "timeout_hard",
-        "exception_type": None,
-        "traceback": "",
-        "transient": False,
-        "details": {},
-    }
+    return worker_mod.verdict_record(
+        f"error:timeout_hard: worker killed after {hard:.1f}s hard "
+        f"wall clock (cooperative timeout {task.timeout:g}s)",
+        elapsed=hard,
+        error_kind="timeout_hard",
+    )
 
 
 def _worker_death_record(
@@ -694,21 +589,13 @@ def _worker_death_record(
             desc += " (possible kernel OOM kill)"
     else:
         desc = f"exit code {exitcode}"
-    return {
-        "status": "unknown",
-        "elapsed": 0.0,
-        "correct": True,
-        "model_size": None,
-        "reason": (
-            f"error:crash: worker died without a result ({desc}) "
-            f"after {attempts} attempts"
-        ),
-        "error_kind": "crash",
-        "exception_type": None,
-        "traceback": "",
-        "transient": True,
-        "details": {"exitcode": exitcode},
-    }
+    return worker_mod.verdict_record(
+        f"error:crash: worker died without a result ({desc}) "
+        f"after {attempts} attempts",
+        error_kind="crash",
+        transient=True,
+        details={"exitcode": exitcode},
+    )
 
 
 def _kill(proc) -> None:
@@ -767,25 +654,8 @@ def _run_worker_batch(
     ):
         warm = snapshots.get(group_key)
     payload = {
-        "tasks": [
-            {
-                "task_id": t.task_id,
-                "smt_text": t.payload_text(),
-                "solver": t.solver,
-                "timeout": t.timeout,
-                "expected_status": t.expected_status,
-                "index": t.index,
-                "attempt": attempts[t.task_id],
-            }
-            for t in batch
-        ],
-        # a lone rescheduled survivor still builds a pool when it has a
-        # snapshot to warm-start from
-        "share_engines": policy.share_engines
-        and (len(batch) > 1 or warm is not None),
-        "mem_limit_mb": policy.mem_limit_mb,
-        "fault_plan": plan.encode() if plan else None,
-        "solver_opts": policy.solver_opts,
+        "tasks": [(t.text_only(), attempts[t.task_id]) for t in batch],
+        "policy": dataclasses.replace(policy, fault_plan=plan),
         "engine_snapshot": warm,
         # seed for the worker's own snapshot stamps: its snapshots must
         # outrank the one it warm-started from (see _SnapshotStore)
@@ -797,12 +667,7 @@ def _run_worker_batch(
         # workers mirror the supervisor's collector configuration with
         # their own in-memory instances; spans/metrics ship back over
         # the pipe and merge here
-        "obs": {
-            "trace": obs_runtime.TRACER is not None,
-            "metrics": obs_runtime.METRICS is not None,
-            "heartbeat": policy.heartbeat_interval,
-            "profile_dir": policy.profile_dir,
-        },
+        "obs": worker_mod.collector_flags(),
     }
     if warm is not None:
         stats.workers_warm_started += 1

@@ -1,23 +1,33 @@
-"""Worker-subprocess side of the supervised execution layer.
+"""Per-task execution: the one code path every campaign task runs.
 
-A worker receives one batch of tasks (usually a single task; with
+:func:`run_task` is the only per-task code in the system — the task's
+obs registration, span and profile, the fault plan, the build, solver
+construction + solve (the solver built by
+:func:`repro.harness.runner.make_solver`, the one solver factory) and
+crash capture: a solver exception (or recursion blowout) becomes
+``error:crash`` with its traceback, a MemoryError under the
+address-space cap ``error:oom``, and in-process transient faults are
+retried with backoff.  In-process campaigns and ``run_problem`` call it
+with ``isolated=False``; worker subprocesses call it with
+``isolated=True`` for every task of their batch, so isolated and
+in-process campaigns produce identical verdicts by construction
+(``benchmarks/bench_exec.py`` gates this).  :func:`verdict_record` is
+the one record shape every verdict — solver answer or failure — takes.
+
+The worker side of the supervised execution layer: :func:`worker_entry`
+receives one batch of text-only
+:class:`~repro.exec.supervisor.TaskSpec` (usually a single task; with
 campaign engine-sharing on, a whole signature-compatible group) over a
-pipe, solves them one at a time and streams one structured result
-message back per task, so the supervisor can apply its hard wall-clock
-watchdog *per task* and keep every already-finished verdict when the
-worker later dies.  All failure handling that can be done in-process is
-done here — a solver exception becomes ``error:crash`` with its
-traceback, a MemoryError under the RSS/address-space cap becomes
-``error:oom`` — while hangs and hard kills are the supervisor's
-business (a hung worker never writes, so the watchdog classifies it).
-
-The same :func:`solve_task` — with the solver built by
-:func:`repro.harness.runner.make_solver`, the one solver factory — and
-the same :func:`engine_pool_for` drive the in-process execution path
-(:func:`repro.exec.supervisor.solve_inprocess`, which every in-process
-campaign and ``run_problem`` go through), so isolated and in-process
-campaigns produce identical verdicts by construction
-(``benchmarks/bench_exec.py`` gates this).
+pipe and streams one result message back per task, so the supervisor
+can apply its hard wall-clock watchdog *per task* and keep every
+already-finished verdict when the worker later dies.  Hangs and hard
+kills are the supervisor's business (a hung worker never writes, so
+the watchdog classifies it).  :func:`shard_entry`, the
+vector-granularity sibling serving the parallel sweep, shares the
+subprocess prologue.  Workers are daemonic and may not have children,
+so RInGen runs the sequential size sweep on the worker's pooled engine
+even with ``sweep_shards`` > 1 — the same verdicts, by the parallel
+sweep's parity contract.
 """
 
 from __future__ import annotations
@@ -28,12 +38,19 @@ import threading
 import time
 import traceback
 from collections import deque
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.exec.faults import ReproFaultPlan
+from repro.exec.faults import (
+    CooperativeHang,
+    ReproFaultPlan,
+    TransientWorkerFault,
+)
 from repro.obs import runtime as obs_runtime
 from repro.obs.events import heartbeat_event
 from repro.obs.profiler import maybe_profile, profile_path
+
+if TYPE_CHECKING:
+    from repro.exec.supervisor import ExecPolicy, TaskSpec
 
 #: message sent after the last task so the supervisor can tell a clean
 #: finish from a death right after the final result
@@ -77,80 +94,178 @@ def engine_pool_for(solver_opts: Optional[dict]):
     )
 
 
-def crash_record(
-    error: BaseException, elapsed: float, *, transient: bool = False
-) -> dict:
-    """Structured ``error:crash`` verdict for an in-task exception."""
-    kind = "oom" if isinstance(error, MemoryError) else "crash"
-    return {
-        "status": "unknown",
-        "elapsed": elapsed,
-        "correct": True,  # an error is an honest non-answer, not a wrong one
-        "model_size": None,
-        "reason": f"error:{kind}: {type(error).__name__}: {error}",
-        "error_kind": kind,
-        "exception_type": type(error).__name__,
-        "traceback": traceback.format_exc(limit=20),
-        "transient": transient,
-        "details": {"exception_type": type(error).__name__},
-    }
-
-
-def solve_task(
-    system,
-    solver_name: str,
-    timeout: float,
-    expected_status: Optional[str],
+def verdict_record(
+    reason: str,
     *,
-    engine_pool=None,
-    solver_opts: Optional[dict] = None,
+    status: str = "unknown",
+    elapsed: float = 0.0,
+    correct: bool = True,
+    model_size: Optional[int] = None,
+    error_kind: Optional[str] = None,
+    exception_type: Optional[str] = None,
+    traceback_text: str = "",
+    transient: bool = False,
+    details: Optional[dict] = None,
 ) -> dict:
-    """Solve one task and return a plain-dict verdict record.
+    """The one plain-dict verdict record (pipe, journal and harness form).
 
-    Exceptions never escape: a solver crash (or recursion blowout)
-    yields ``error:crash`` with the exception type and traceback, and a
-    MemoryError yields ``error:oom`` — the structured verdicts the
-    supervisor journals instead of losing the campaign.
+    The defaults describe an honest non-answer: ``unknown`` and scored
+    correct — an execution failure is never a wrong answer.
     """
-    from repro.harness.runner import make_solver
-
-    start = time.monotonic()
-    try:
-        solver = make_solver(
-            solver_name,
-            timeout,
-            engine_pool=engine_pool,
-            solver_opts=solver_opts,
-        )
-        result = solver.solve(system)
-    except MemoryError as error:
-        # free the hoard before building the response under a tight cap
-        gc.collect()
-        return crash_record(error, time.monotonic() - start)
-    except Exception as error:
-        return crash_record(error, time.monotonic() - start)
-    elapsed = time.monotonic() - start
-    status = result.status.value
-    correct = (
-        status == "unknown"
-        or expected_status is None
-        or status == expected_status
-    )
-    model_size = None
-    if status == "sat":
-        model_size = result.details.get("model_size")
     return {
         "status": status,
         "elapsed": elapsed,
         "correct": correct,
         "model_size": model_size,
-        "reason": result.reason,
-        "error_kind": None,
-        "exception_type": None,
-        "traceback": "",
-        "transient": False,
-        "details": jsonable(dict(result.details)),
+        "reason": reason,
+        "error_kind": error_kind,
+        "exception_type": exception_type,
+        "traceback": traceback_text,
+        "transient": transient,
+        "details": {} if details is None else details,
     }
+
+
+def _error_record(
+    error: BaseException, elapsed: float, *, transient: bool = False
+) -> dict:
+    """``error:crash`` (``error:oom`` for a MemoryError) for an in-task
+    exception, with its type and traceback."""
+    kind = "oom" if isinstance(error, MemoryError) else "crash"
+    name = type(error).__name__
+    return verdict_record(
+        f"error:{kind}: {name}: {error}",
+        elapsed=elapsed,
+        error_kind=kind,
+        exception_type=name,
+        traceback_text="".join(
+            traceback.format_exception(
+                type(error), error, error.__traceback__, limit=20
+            )
+        ),
+        transient=transient,
+        details={"exception_type": name},
+    )
+
+
+def _result_record(
+    result, elapsed: float, expected_status: Optional[str]
+) -> dict:
+    """The verdict record of a solver answer, scored against the
+    expected status (an unknown is never wrong)."""
+    status = result.status.value
+    return verdict_record(
+        result.reason,
+        status=status,
+        elapsed=elapsed,
+        correct=(
+            status == "unknown"
+            or expected_status is None
+            or status == expected_status
+        ),
+        model_size=(
+            result.details.get("model_size") if status == "sat" else None
+        ),
+        details=jsonable(dict(result.details)),
+    )
+
+
+def run_task(
+    task: "TaskSpec",
+    policy: "ExecPolicy",
+    plan: ReproFaultPlan,
+    *,
+    isolated: bool,
+    attempt: int = 1,
+    engine_pool=None,
+) -> tuple[dict, int]:
+    """Run one task in this process; ``(verdict record, attempts)``.
+
+    The only per-task code: the task's obs registration, span and
+    profile, the fault plan (``isolated`` selects the worker-side form
+    of each fault), the build, and solver construction + solve — with
+    the solver from :func:`repro.harness.runner.make_solver` — all under
+    one crash capture.  Exceptions never escape: a build or solver
+    exception becomes ``error:crash``, a MemoryError ``error:oom``, the
+    in-process hang surrogate the cooperative timeout verdict, and
+    transient faults are retried with backoff up to
+    ``policy.max_retries``, counting on from ``attempt``.  The record's
+    ``elapsed`` times solver construction + solve only.
+    """
+    from repro.harness.runner import make_solver
+
+    obs_runtime.task_started(task.task_id)
+    tracer = obs_runtime.TRACER
+    span = (
+        tracer.begin("task", {"task": task.task_id})
+        if tracer is not None
+        else None
+    )
+    prof = (
+        profile_path(policy.profile_dir, task.task_id)
+        if policy.profile_dir
+        else None
+    )
+    record: Optional[dict] = None
+    try:
+        while True:
+            start = time.monotonic()
+            try:
+                with maybe_profile(prof):
+                    plan.fire(
+                        task.task_id,
+                        task.index,
+                        attempt,
+                        isolated=isolated,
+                        timeout=task.timeout,
+                        mem_limit_mb=policy.mem_limit_mb,
+                    )
+                    system = task.build_system()
+                    # elapsed times solver construction + solve only
+                    start = time.monotonic()
+                    solver = make_solver(
+                        task.solver,
+                        task.timeout,
+                        engine_pool=engine_pool,
+                        solver_opts=policy.solver_opts,
+                    )
+                    result = solver.solve(system)
+                    elapsed = time.monotonic() - start
+                    record = _result_record(
+                        result, elapsed, task.expected_status
+                    )
+            except TransientWorkerFault as error:
+                if attempt <= policy.max_retries:
+                    attempt += 1
+                    time.sleep(policy.backoff(task.task_id, attempt))
+                    continue
+                record = _error_record(
+                    error, time.monotonic() - start, transient=True
+                )
+            except CooperativeHang as error:
+                # the in-process analogue of a hang: the cooperative
+                # budget ran out
+                record = verdict_record(
+                    "unknown: wall-clock timeout (cooperative)",
+                    elapsed=time.monotonic() - start,
+                    exception_type=type(error).__name__,
+                    details={"verdict_kind": "budget", "timeout_hit": True},
+                )
+            except MemoryError as error:
+                # free the hoard before building the response under a
+                # tight cap
+                gc.collect()
+                record = _error_record(error, time.monotonic() - start)
+            except Exception as error:
+                record = _error_record(error, time.monotonic() - start)
+            return record, attempt
+    finally:
+        if span is not None:
+            span.args["status"] = (
+                record.get("status") if record is not None else None
+            )
+            tracer.end(span)
+        obs_runtime.task_finished()
 
 
 def _apply_mem_limit(mem_limit_mb: Optional[int]) -> None:
@@ -174,37 +289,21 @@ def _apply_mem_limit(mem_limit_mb: Optional[int]) -> None:
         pass  # tighter than the hard cap we inherited: keep the cap
 
 
-def worker_entry(conn, payload: dict) -> None:
-    """Subprocess main: solve the batch, streaming one message per task.
+def collector_flags() -> dict:
+    """Which obs collectors this process runs — the ``obs`` entry of a
+    subprocess payload, mirrored by :func:`_subprocess_prologue`."""
+    return {
+        "trace": obs_runtime.TRACER is not None,
+        "metrics": obs_runtime.METRICS is not None,
+    }
 
-    ``payload``::
 
-        {"tasks": [{"task_id", "smt_text", "solver", "timeout",
-                    "expected_status", "index", "attempt"}, ...],
-         "share_engines": bool, "mem_limit_mb": int | None,
-         "fault_plan": str | None, "solver_opts": dict | None,
-         "engine_snapshot": dict | None,
-         "obs": {"trace": bool, "metrics": bool,
-                 "heartbeat": float, "profile_dir": str | None} | None}
-
-    ``engine_snapshot`` (engine sharing only) warm-starts the worker's
-    pool from a predecessor's serialized engine; each verdict message
-    carries the pool's current snapshot back so the supervisor can
-    reschedule the batch remainder warm after a worker death.
-
-    ``obs`` turns the worker's own collectors on: an in-memory tracer
-    whose finished spans ship back inside each verdict
-    (``record["obs_spans"]``), a metrics registry whose snapshot rides
-    the done message (``obs_metrics``), a heartbeat thread streaming
-    live-progress samples over the verdict pipe every ``heartbeat``
-    seconds (0 disables it), and per-task cProfile dumps under
-    ``profile_dir``.
-    """
+def _subprocess_prologue(payload: dict) -> None:
+    """Shared start of every worker and shard subprocess."""
     # the supervisor owns interrupt handling; a Ctrl-C aimed at the
-    # campaign must not corrupt a worker mid-message
+    # campaign must not corrupt a subprocess mid-message
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _apply_mem_limit(payload.get("mem_limit_mb"))
     # the fork inherited the parent's collectors — including an open
     # file handle the parent still writes — so drop them all before
     # configuring this process's own
@@ -214,8 +313,37 @@ def worker_entry(conn, payload: dict) -> None:
         trace=bool(obs_cfg.get("trace")),
         metrics=bool(obs_cfg.get("metrics")),
     )
-    profile_dir = obs_cfg.get("profile_dir")
-    heartbeat = float(obs_cfg.get("heartbeat") or 0.0)
+
+
+def worker_entry(conn, payload: dict) -> None:
+    """Subprocess main: solve the batch, streaming one message per task.
+
+    ``payload``::
+
+        {"tasks": [(TaskSpec, attempt), ...],   # text-only specs
+         "policy": ExecPolicy,                  # fault plan resolved
+         "engine_snapshot": dict | None, "engine_snapshot_seq": int,
+         "obs": collector_flags()}
+
+    Every task runs through :func:`run_task` (``isolated=True``).  With
+    ``policy.share_engines`` a batch of several tasks — or a lone
+    rescheduled survivor with an ``engine_snapshot`` to warm-start from
+    — rides one private pool; each verdict message then carries the
+    pool's current snapshot back so the supervisor can reschedule the
+    batch remainder warm after a worker death.
+
+    ``obs`` turns the worker's own collectors on: an in-memory tracer
+    whose finished spans ship back inside each verdict
+    (``record["obs_spans"]``) and a metrics registry whose snapshot
+    rides the done message (``obs_metrics``).  The policy's
+    ``heartbeat_interval`` > 0 starts a thread streaming live-progress
+    samples over the verdict pipe, and its ``profile_dir`` gets one
+    cProfile dump per task.
+    """
+    _subprocess_prologue(payload)
+    policy = payload["policy"]
+    _apply_mem_limit(policy.mem_limit_mb)
+    heartbeat = policy.heartbeat_interval
     # every pipe write (verdicts, done, heartbeats from the sampler
     # thread) holds this lock: multiprocessing.Connection sends are not
     # atomic across threads
@@ -243,8 +371,9 @@ def worker_entry(conn, payload: dict) -> None:
             target=_beat, name="repro-worker-heartbeat", daemon=True
         )
         beater.start()
-    plan = ReproFaultPlan.parse(payload.get("fault_plan"))
-    solver_opts = payload.get("solver_opts") or None
+    plan = policy.plan()
+    tasks = payload["tasks"]
+    warm = payload.get("engine_snapshot")
     # per-worker monotonic snapshot sequence, seeded from the stamp of
     # the snapshot this worker warm-started from: every snapshot this
     # worker ships outranks its seed, so the supervisor's newest-wins
@@ -252,62 +381,23 @@ def worker_entry(conn, payload: dict) -> None:
     # progress instead of by message arrival
     snap_seq = int(payload.get("engine_snapshot_seq") or 0)
     pool = None
-    if payload.get("share_engines"):
-        pool = engine_pool_for(solver_opts)
-        warm = payload.get("engine_snapshot")
+    if policy.share_engines and (len(tasks) > 1 or warm is not None):
+        pool = engine_pool_for(policy.solver_opts)
         if warm is not None:
             # warm start: a predecessor's engine state for this batch's
             # signature (adoption failure silently falls back cold)
             pool.adopt_snapshot(warm)
-    from repro.chc.parser import parse_chc
-
+    tracer = obs_runtime.TRACER
     try:
-        for task in payload["tasks"]:
-            task_id = task["task_id"]
-            start = time.monotonic()
-            # registered before plan.fire so an injected hang still
-            # shows up in heartbeats (that is what live progress is for)
-            obs_runtime.task_started(task_id)
-            tracer = obs_runtime.TRACER
-            span = (
-                tracer.begin("task", {"task": task_id})
-                if tracer is not None
-                else None
+        for task, attempt in tasks:
+            record, _ = run_task(
+                task,
+                policy,
+                plan,
+                isolated=True,
+                attempt=attempt,
+                engine_pool=pool,
             )
-            prof = (
-                profile_path(profile_dir, task_id) if profile_dir else None
-            )
-            record: dict = {}
-            try:
-                with maybe_profile(prof):
-                    plan.fire(
-                        task_id,
-                        task.get("index", 0),
-                        task.get("attempt", 1),
-                        isolated=True,
-                        timeout=task.get("timeout"),
-                        mem_limit_mb=payload.get("mem_limit_mb"),
-                    )
-                    system = parse_chc(task["smt_text"], name=task_id)
-                    record = solve_task(
-                        system,
-                        task["solver"],
-                        task["timeout"],
-                        task.get("expected_status"),
-                        engine_pool=pool,
-                        solver_opts=solver_opts,
-                    )
-            except MemoryError as error:
-                gc.collect()
-                record = crash_record(error, time.monotonic() - start)
-            except Exception as error:
-                record = crash_record(error, time.monotonic() - start)
-            finally:
-                if span is not None:
-                    span.args["status"] = record.get("status")
-                    tracer.end(span)
-                obs_runtime.task_finished()
-            record["task"] = task_id
             if tracer is not None:
                 # finished spans ride each verdict so the supervisor's
                 # file-backed tracer absorbs them as they happen, not
@@ -358,14 +448,7 @@ def shard_entry(conn, payload: dict) -> None:
     *without* a done message so the scheduler's EOF path respawns the
     shard — the vector-level analogue of a result-less worker death.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    obs_runtime.forget()
-    obs_cfg = payload.get("obs") or {}
-    obs_runtime.configure(
-        trace=bool(obs_cfg.get("trace")),
-        metrics=bool(obs_cfg.get("metrics")),
-    )
+    _subprocess_prologue(payload)
     from repro.mace.parallel import _ShardRunner
 
     tracer = obs_runtime.TRACER

@@ -34,8 +34,8 @@ from repro.exec.supervisor import (
     ExecStats,
     TaskSpec,
     execute_tasks,
-    solve_inprocess,
 )
+from repro.exec.worker import run_task
 from repro.mace.pool import EnginePool, signature_fingerprint
 from repro.obs import runtime as obs_runtime
 from repro.solvers.elem import ElemConfig, ElemSolver
@@ -291,10 +291,10 @@ def run_problem(
 ) -> RunRecord:
     """Run one solver on one problem and score the verdict.
 
-    The same per-task code as an in-process campaign task
-    (:func:`repro.exec.supervisor.solve_inprocess`), without a fault
-    plan: a build or solver crash becomes a structured ``error:crash``
-    record.
+    The same per-task code as every campaign task
+    (:func:`repro.exec.worker.run_task`), in this process and without a
+    fault plan: a build or solver crash becomes a structured
+    ``error:crash`` record.
     """
     task = TaskSpec(
         task_id=task_id_for(problem, solver_name),
@@ -303,10 +303,11 @@ def run_problem(
         expected_status=problem.expected_status,
         problem=problem,
     )
-    record, _ = solve_inprocess(
+    record, _ = run_task(
         task,
         ExecPolicy(),
         ReproFaultPlan(),
+        isolated=False,
         engine_pool=engine_pool,
     )
     return _record_from_exec(problem, solver_name, record)

@@ -52,26 +52,26 @@ written off as exhausted after :data:`MAX_VECTOR_ATTEMPTS` (an honest
 (:mod:`repro.exec.worker` hosts the shard entrypoint) with vector-level
 task granularity and ``core`` control messages in both directions.
 
-In-process fallback
--------------------
+Daemonic processes
+------------------
 
-Daemonic processes may not have children, so inside an isolated
-supervised worker (``--isolate`` campaigns) the portfolio falls back to
-an in-process variant: N private engines in this process, round-robin,
-one whole vector per turn.  Scheduler, commit order and broadcast
-semantics are identical; there is no wall-clock speedup (cross-problem
-parallelism already comes from the supervisor in that mode).
+Daemonic processes may not have children, so :mod:`repro.core.ringen`
+never builds this finder inside one — an isolated supervised worker
+(``--isolate`` campaigns) runs the sequential sweep on its pooled
+engine instead.  By the parity contract the verdicts are identical, and
+cross-problem parallelism already comes from the supervisor in that
+mode.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import time
 from multiprocessing import connection as mp_connection
 from typing import Optional, Sequence
 
 from repro.chc.clauses import CHCSystem
+from repro.exec import worker as exec_worker
 from repro.exec.faults import ReproFaultPlan
 from repro.mace.finder import (
     FinderError,
@@ -114,9 +114,8 @@ def _covered(
 class _ShardRunner:
     """One engine shard: the portfolio member that actually solves.
 
-    Process mode runs it behind a pipe
-    (:func:`repro.exec.worker.shard_entry`); the in-process fallback
-    drives the same object directly.  Either way it owns a private
+    Runs behind a pipe in a shard subprocess
+    (:func:`repro.exec.worker.shard_entry`).  It owns a private
     incremental engine — warm-restored from the payload snapshot when
     possible, cold otherwise — plus the sibling bounds broadcast to it,
     and renders every answer as the scheduler's wire dict.
@@ -124,7 +123,6 @@ class _ShardRunner:
 
     def __init__(self, payload: dict):
         self.uid = payload["shard"]
-        self.isolated = bool(payload.get("isolated"))
         self.max_conflicts = payload.get("max_conflicts")
         self.max_learned = payload.get("max_learned_clauses")
         self.collect_cores = bool(payload.get("core_guided_sweep", True))
@@ -210,17 +208,16 @@ class _ShardRunner:
     ) -> dict:
         """Solve (or prune) one dispatched vector; returns the wire
         result dict — outcome, fresh core bounds, cumulative stats."""
-        if self.isolated:
-            # deterministic fault injection, keyed like supervised
-            # tasks: the integer key is the vector sequence number
-            self.fault_plan.fire(
-                f"shard{self.uid}",
-                seq,
-                attempt,
-                isolated=True,
-                timeout=None,
-                mem_limit_mb=None,
-            )
+        # deterministic fault injection, keyed like supervised tasks:
+        # the integer key is the vector sequence number
+        self.fault_plan.fire(
+            f"shard{self.uid}",
+            seq,
+            attempt,
+            isolated=True,
+            timeout=None,
+            mem_limit_mb=None,
+        )
         result: dict = {"kind": "result", "seq": seq, "shard": self.uid}
         sizes = dict(zip(self.sorts, sizes_t))
         if self.collect_cores and self.engine.vector_covered(
@@ -282,8 +279,6 @@ class _ProcessShard:
     """Scheduler-side handle on one shard subprocess."""
 
     def __init__(self, ctx, payload: dict):
-        from repro.exec import worker as exec_worker
-
         self.uid = payload["shard"]
         parent, child = ctx.Pipe(duplex=True)
         self.conn = parent
@@ -359,7 +354,7 @@ class _ProcessShard:
 
 
 class _SweepState:
-    """Sweep-order bookkeeping shared by both portfolio modes.
+    """Sweep-order bookkeeping of one speculative sweep.
 
     Owns the frontier iterator, the master (index-keyed) bound list,
     per-sequence outcomes, and the strictly-in-order commit pointer
@@ -456,9 +451,8 @@ class _SweepState:
 class SweepScheduler:
     """Drives one speculative sweep over a portfolio of shards."""
 
-    def __init__(self, finder: "ParallelModelFinder", mode: str):
+    def __init__(self, finder: "ParallelModelFinder"):
         self.finder = finder
-        self.mode = mode
         self.stats = FinderStats(
             incremental=True,
             sat_backend=finder.sat_backend,
@@ -474,7 +468,7 @@ class SweepScheduler:
         """Fold one shard message into the sweep state.
 
         ``siblings_fn(origin_uid)`` yields the live sibling receivers a
-        fresh core should be broadcast to (mode-specific transport).
+        fresh core should be broadcast to.
         """
         kind = msg.get("kind")
         if kind == "done":
@@ -548,8 +542,7 @@ class SweepScheduler:
             model, stats, complete=model is not None or complete
         )
 
-    # -- process portfolio -------------------------------------------------
-    def run_process(self, min_total: int) -> FinderResult:
+    def run(self, min_total: int) -> FinderResult:
         finder = self.finder
         from repro.exec.supervisor import _mp_context
 
@@ -569,7 +562,7 @@ class SweepScheduler:
 
         def spawn() -> _ProcessShard:
             uid = next(uid_counter)
-            payload = finder._payload(uid, isolated=True)
+            payload = finder._payload(uid)
             payload["bounds"] = [
                 (dict(lo), dict(hi)) for lo, hi in state.bounds
             ]
@@ -707,83 +700,13 @@ class SweepScheduler:
         )
         return self._finalize(start, state.winner, complete)
 
-    # -- in-process portfolio ----------------------------------------------
-    def run_inprocess(self, min_total: int) -> FinderResult:
-        finder = self.finder
-        start = time.monotonic()
-        state = _SweepState(
-            finder.sorts,
-            finder.max_total_size,
-            min_total,
-            self.stats,
-            finder.core_guided_sweep,
-        )
-        self.state = state
-        runners = [
-            _ShardRunner(finder._payload(uid, isolated=False))
-            for uid in range(finder.sweep_shards)
-        ]
-        queues: list[list[tuple[int, tuple[int, ...]]]] = [
-            [] for _ in runners
-        ]
-
-        def siblings(origin_uid: int):
-            for runner in runners:
-                if runner.uid != origin_uid:
-                    yield runner.adopt_bounds
-
-        decided = False
-        while not decided:
-            if (
-                finder.deadline is not None
-                and time.monotonic() > finder.deadline
-            ):
-                self.stats.deadline_hit = True
-                state.complete = False
-                break
-            for queue in queues:
-                while len(queue) < SHARD_QUEUE_DEPTH:
-                    nxt = state.next_vector()
-                    if nxt is None:
-                        break
-                    if any(queues):
-                        self.stats.vectors_speculated += 1
-                    queue.append(nxt)
-            if not any(queues):
-                state.commit()
-                break
-            # round-robin: each runner solves one whole vector per
-            # turn, so sibling cores land between a runner's queued
-            # vectors exactly as they would across processes
-            for runner, queue in zip(runners, queues):
-                if not queue:
-                    continue
-                seq, sizes_t = queue.pop(0)
-                msg = runner.solve_vector(seq, sizes_t, 1, finder.deadline)
-                self._consume(msg, siblings)
-                if state.commit() or state.hopeless:
-                    decided = True
-                    break
-        complete = (
-            state.winner is not None
-            or state.hopeless
-            or (
-                state.complete
-                and state.exhausted_frontier
-                and not self.stats.deadline_hit
-            )
-        )
-        return self._finalize(start, state.winner, complete)
-
 
 class ParallelModelFinder:
     """Drop-in :class:`~repro.mace.finder.ModelFinder` running the size
     sweep as a speculative shard portfolio (see the module docstring).
 
-    ``mode`` is ``"process"`` (subprocess shards, fork-preferred),
-    ``"inprocess"`` (the interleaved fallback portfolio) or ``"auto"``
-    (process shards unless this process is daemonic — e.g. inside an
-    isolated supervised worker — which may not have children).
+    Shards are subprocesses (fork-preferred), so the finder must not be
+    built inside a daemonic process, which may not have children.
     ``snapshot`` seeds every shard with one serialized engine state
     (:meth:`~repro.mace.pool.EnginePool.snapshot_for`).  The search
     contract — signature, :class:`FinderResult`, ``complete``
@@ -807,13 +730,10 @@ class ParallelModelFinder:
         sat_backend: str = "python",
         core_minimization: bool = True,
         snapshot: Optional[dict] = None,
-        mode: str = "auto",
         fault_plan: Optional[ReproFaultPlan] = None,
     ):
         if sweep_shards < 1:
             raise FinderError("sweep_shards must be >= 1")
-        if mode not in ("auto", "process", "inprocess"):
-            raise FinderError(f"unknown sweep mode {mode!r}")
         self.system = system
         self.sweep_shards = sweep_shards
         self.max_total_size = max_total_size
@@ -827,11 +747,10 @@ class ParallelModelFinder:
         self.sat_backend = sat_backend
         self.core_minimization = core_minimization
         self.snapshot = snapshot
-        self.mode = mode
         self.fault_plan = fault_plan
         self.sorts = sorted(system.adts.sorts, key=lambda s: s.name)
 
-    def _payload(self, uid: int, *, isolated: bool) -> dict:
+    def _payload(self, uid: int) -> dict:
         plan = self.fault_plan
         if plan is None:
             plan = ReproFaultPlan.from_env()
@@ -846,12 +765,8 @@ class ParallelModelFinder:
             "max_learned_clauses": self.max_learned_clauses,
             "core_guided_sweep": self.core_guided_sweep,
             "core_minimization": self.core_minimization,
-            "isolated": isolated,
             "fault_plan": plan.encode() if plan else None,
-            "obs": {
-                "trace": obs_runtime.TRACER is not None,
-                "metrics": obs_runtime.METRICS is not None,
-            },
+            "obs": exec_worker.collector_flags(),
         }
 
     def search(
@@ -873,15 +788,6 @@ class ParallelModelFinder:
             if min_total_size is None
             else min_total_size
         )
-        mode = self.mode
-        if mode == "auto":
-            mode = (
-                "inprocess"
-                if multiprocessing.current_process().daemon
-                else "process"
-            )
-        scheduler = SweepScheduler(self, mode)
+        scheduler = SweepScheduler(self)
         obs_runtime.watch_finder_stats(scheduler.stats)
-        if mode == "process":
-            return scheduler.run_process(min_total)
-        return scheduler.run_inprocess(min_total)
+        return scheduler.run(min_total)

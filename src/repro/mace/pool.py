@@ -236,8 +236,14 @@ class EnginePool:
         self.stats.snapshot_saves += 1
         return True
 
-    def _load(self, key: tuple) -> Optional[_IncrementalEngine]:
-        """Try to restore ``key``'s engine from the warm cache."""
+    def _read_cache(self, key: tuple) -> Optional[dict]:
+        """The validated engine snapshot cached for ``key``, or ``None``.
+
+        The one read path of the warm cache: checks the wrapper schema,
+        snapshot version, fingerprint and this pool's solver policy
+        (:meth:`_check_policy`), counting ``snapshot_misses`` for an
+        absent file and ``snapshot_rejected`` for any failed check.
+        """
         path = self._cache_path(key)
         if path is None:
             return None
@@ -258,17 +264,32 @@ class EnginePool:
                 raise EngineSnapshotError(
                     "cache file fingerprint disagrees with its name"
                 )
-            engine = self._restore_engine(wrapper["engine"])
+            snap = wrapper["engine"]
+            self._check_policy(snap)
         except Exception:
-            # corrupt, stale-version, foreign or unusable (e.g. a pysat
-            # snapshot without python-sat installed): fall back cold
+            # corrupt, stale-version, foreign or built under another
+            # solver policy: the caller falls back cold
+            self.stats.snapshot_rejected += 1
+            return None
+        return snap
+
+    def _load(self, key: tuple) -> Optional[_IncrementalEngine]:
+        """Try to restore ``key``'s engine from the warm cache."""
+        snap = self._read_cache(key)
+        if snap is None:
+            return None
+        try:
+            engine = _IncrementalEngine.restore(snap)
+        except Exception:
+            # unusable (e.g. a pysat snapshot without python-sat
+            # installed): fall back cold
             self.stats.snapshot_rejected += 1
             return None
         self.stats.snapshot_hits += 1
         return engine
 
-    def _restore_engine(self, snap: dict) -> _IncrementalEngine:
-        """Restore + validate a snapshot against this pool's config."""
+    def _check_policy(self, snap: dict) -> None:
+        """Raise unless ``snap`` matches this pool's configuration."""
         if not isinstance(snap, dict):
             raise EngineSnapshotError("not an engine snapshot")
         if snap.get("sat_backend") != self.sat_backend:
@@ -281,7 +302,6 @@ class EnginePool:
             raise EngineSnapshotError(
                 "snapshot solver policy disagrees with the pool's"
             )
-        return _IncrementalEngine.restore(snap)
 
     def flush_cache(self) -> int:
         """Persist every live engine to the warm cache; returns count."""
@@ -304,7 +324,8 @@ class EnginePool:
         ``snapshot_rejected`` and returns False — callers proceed cold).
         """
         try:
-            engine = self._restore_engine(snap)
+            self._check_policy(snap)
+            engine = _IncrementalEngine.restore(snap)
             key = (self.sat_backend, snap["fingerprint"])
         except Exception:
             self.stats.snapshot_rejected += 1
@@ -340,8 +361,9 @@ class EnginePool:
         (:mod:`repro.mace.parallel`): every shard of a speculative
         portfolio warm-starts from one snapshot of the signature's
         pooled engine.  A live slot is snapshotted fresh; otherwise the
-        disk warm cache is consulted and its raw (already validated by
-        the shard on restore) snapshot returned.  Never raises —
+        disk warm cache is consulted through the same validated read as
+        a cache load, so a snapshot built under another solver policy
+        is rejected, never handed to the shards.  Never raises —
         ``None`` means the shards start cold.
         """
         key = (self.sat_backend, signature_fingerprint(system))
@@ -352,22 +374,7 @@ class EnginePool:
             except Exception:
                 self.stats.snapshot_rejected += 1
                 return None
-        path = self._cache_path(key)
-        if path is None:
-            return None
-        try:
-            wrapper = pickle.loads(path.read_bytes())
-            if (
-                not isinstance(wrapper, dict)
-                or wrapper.get("schema") != _CACHE_SCHEMA
-                or wrapper.get("version") != ENGINE_SNAPSHOT_VERSION
-                or wrapper.get("key") != key
-            ):
-                raise EngineSnapshotError("bad cache wrapper")
-            snap = wrapper["engine"]
-        except Exception:
-            return None
-        return snap if isinstance(snap, dict) else None
+        return self._read_cache(key)
 
     # -- engine lookup -----------------------------------------------------
     def _evict_over_limit(self) -> None:

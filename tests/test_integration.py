@@ -156,14 +156,19 @@ class TestCampaignCli:
         assert f"{files['broken']}: error:" in err
 
     def test_pool_summary_line(self, files, capsys):
-        code, out, _ = self.run(capsys, files["even"], files["even2"])
-        assert code == 0
-        pool = [line for line in out if line.startswith("; pool:")]
-        assert len(pool) == 1
-        assert pool[0].startswith(
-            "; pool: 2 problems, 1 engines, 1 warm-engine hits, "
-        )
-        assert any(line.startswith("; exec:") for line in out)
+        # isolated workers are daemonic: they ignore --sweep-shards and
+        # run the sequential sweep on their pooled engine
+        for flags in ([], ["--isolate", "--sweep-shards", "2"]):
+            code, out, _ = self.run(
+                capsys, *flags, files["even"], files["even2"]
+            )
+            assert code == 0, flags
+            pool = [line for line in out if line.startswith("; pool:")]
+            assert len(pool) == 1, flags
+            assert pool[0].startswith(
+                "; pool: 2 problems, 1 engines, 1 warm-engine hits, "
+            ), (flags, pool)
+            assert any(line.startswith("; exec:") for line in out), flags
 
     def test_quiet_prints_verdicts_only(self, files, capsys):
         _, out, _ = self.run(capsys, "--quiet", files["even"], files["odd"])
@@ -174,8 +179,12 @@ class TestCampaignCli:
         paths = [files["even"], files["odd"], files["even2"]]
         code_in, inproc, _ = self.run(capsys, *paths)
         code_iso, isolated, _ = self.run(capsys, "--isolate", *paths)
-        assert code_in == code_iso == 0
+        code_sharded, sharded, _ = self.run(
+            capsys, "--isolate", "--sweep-shards", "2", *paths
+        )
+        assert code_in == code_iso == code_sharded == 0
         assert self.verdicts(inproc) == self.verdicts(isolated)
+        assert self.verdicts(inproc) == self.verdicts(sharded)
         assert len(self.verdicts(inproc)) == 3
 
     @pytest.mark.parametrize("isolate", [False, True])

@@ -1,7 +1,7 @@
 """Differential tests for the speculative parallel size sweep.
 
 The parity contract (see ``repro/mace/parallel.py``): for any shard
-count, backend, and mode, the parallel sweep commits candidate size
+count and backend, the parallel sweep commits candidate size
 vectors in exactly the sequential order, so the *verdict* (found /
 complete), the winning total size (``model_size``), and model validity
 are identical to :class:`repro.mace.finder.ModelFinder`.  Model
@@ -12,8 +12,6 @@ Fault tolerance rides the same contract: a shard killed mid-speculation
 is respawned with the refutation bounds replayed, its orphaned vectors
 are rescheduled, and the verdict must not drift.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -49,10 +47,10 @@ def sequential(prepared, **kwargs):
     return ModelFinder(prepared, **kwargs).search()
 
 
-def parallel(prepared, shards, mode="process", **kwargs):
-    finder = ParallelModelFinder(prepared, sweep_shards=shards, **kwargs)
-    finder.mode = mode
-    return finder.search()
+def parallel(prepared, shards, **kwargs):
+    return ParallelModelFinder(
+        prepared, sweep_shards=shards, **kwargs
+    ).search()
 
 
 def assert_parity(seq_result, par_result, label=""):
@@ -72,15 +70,8 @@ class TestDifferential:
                                              shards):
         prepared = preprocess(factory())
         seq = sequential(prepared, **kwargs)
-        par = parallel(prepared, shards, mode="process", **kwargs)
+        par = parallel(prepared, shards, **kwargs)
         assert_parity(seq, par, f"{name}/shards={shards}")
-
-    @pytest.mark.parametrize("name,factory,kwargs", PROBLEMS)
-    def test_inprocess_mode_matches_sequential(self, name, factory, kwargs):
-        prepared = preprocess(factory())
-        seq = sequential(prepared, **kwargs)
-        par = parallel(prepared, 2, mode="inprocess", **kwargs)
-        assert_parity(seq, par, name)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backends_agree(self, backend):
@@ -111,7 +102,7 @@ class TestDifferential:
 
     def test_speculation_and_broadcast_counted(self):
         prepared = preprocess(incdec_system())
-        par = parallel(prepared, 2, mode="process")
+        par = parallel(prepared, 2)
         assert par.found
         assert par.stats.sweep_shards == 2
         assert par.stats.vectors_speculated > 0
@@ -119,7 +110,7 @@ class TestDifferential:
 
     def test_shards_one_is_portfolio_of_one(self):
         prepared = preprocess(even_system())
-        par = parallel(prepared, 1, mode="process")
+        par = parallel(prepared, 1)
         seq = sequential(prepared)
         assert_parity(seq, par)
         assert par.stats.cores_broadcast == 0  # nobody to broadcast to
@@ -128,8 +119,6 @@ class TestDifferential:
         prepared = preprocess(even_system())
         with pytest.raises(FinderError):
             ParallelModelFinder(prepared, sweep_shards=0)
-        with pytest.raises(FinderError):
-            ParallelModelFinder(prepared, mode="threads")
 
 
 class TestRInGenIntegration:
@@ -161,8 +150,8 @@ class TestFaultInjection:
         # commit the same verdict as the clean run.
         prepared = preprocess(incdec_system())
         plan = ReproFaultPlan.parse("flaky@1x1")
-        clean = parallel(prepared, 2, mode="process")
-        hurt = parallel(prepared, 2, mode="process", fault_plan=plan)
+        clean = parallel(prepared, 2)
+        hurt = parallel(prepared, 2, fault_plan=plan)
         assert_parity(clean, hurt)
         assert hurt.stats.shard_restarts >= 1
 
@@ -173,7 +162,7 @@ class TestFaultInjection:
         prepared = preprocess(even_system())
         plan = ReproFaultPlan.parse("flaky@2x1")
         seq = sequential(prepared)
-        hurt = parallel(prepared, 2, mode="process", fault_plan=plan)
+        hurt = parallel(prepared, 2, fault_plan=plan)
         assert_parity(seq, hurt)
 
     def test_core_broadcast_survives_shard_death(self):
@@ -181,9 +170,9 @@ class TestFaultInjection:
         # spawn payload, so pruning keeps working after the death.
         prepared = preprocess(diag_system())
         plan = ReproFaultPlan.parse("flaky@1x1")
-        clean = parallel(prepared, 2, mode="process", max_total_size=5)
+        clean = parallel(prepared, 2, max_total_size=5)
         hurt = parallel(
-            prepared, 2, mode="process", max_total_size=5,
+            prepared, 2, max_total_size=5,
             fault_plan=plan,
         )
         assert_parity(clean, hurt)
@@ -195,26 +184,14 @@ class TestFaultInjection:
         # an incomplete (budget-style) verdict, not hang or lie.
         prepared = preprocess(even_system())
         plan = ReproFaultPlan.parse("flaky@shardx9")
-        result = parallel(prepared, 2, mode="process", fault_plan=plan)
+        result = parallel(prepared, 2, fault_plan=plan)
         assert not result.found
         assert not result.complete
 
 
 class TestModeSelection:
-    def test_auto_mode_in_daemon_falls_back(self):
-        # Daemonic processes may not have children; `auto` must pick
-        # the in-process portfolio there.  Simulated by asking the
-        # scheduler directly rather than forking a daemon.
-        prepared = preprocess(even_system())
-        finder = ParallelModelFinder(prepared, sweep_shards=2)
-        assert finder.mode == "auto"
-        if multiprocessing.current_process().daemon:
-            pytest.skip("test runner itself is daemonic")
-        result = finder.search()
-        assert result.found
-
     def test_scheduler_stats_carry_shard_count(self):
         prepared = preprocess(even_system())
         finder = ParallelModelFinder(prepared, sweep_shards=3)
-        scheduler = SweepScheduler(finder, "inprocess")
+        scheduler = SweepScheduler(finder)
         assert scheduler.stats.sweep_shards == 3

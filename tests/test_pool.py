@@ -409,3 +409,24 @@ class TestEngineSnapshot:
         receiver = EnginePool(lbd_retention=False)
         assert not receiver.adopt_snapshot(snap)
         assert receiver.stats.snapshot_rejected == 1
+
+    def test_snapshot_for_rejects_foreign_policy_cache(self, tmp_path):
+        # the parallel sweep's seed must pass the same policy check as
+        # a cache load: an engine cached under lbd_retention=False is
+        # never handed to a default pool's shards
+        cache = tmp_path / "engines"
+        prepared = preprocess(even_system())
+        writer = EnginePool(lbd_retention=False, cache_dir=cache)
+        writer.engine_for(prepared)
+        assert writer.flush_cache() == 1
+        pool = EnginePool(cache_dir=cache)
+        assert pool.snapshot_for(prepared) is None
+        assert pool.stats.snapshot_rejected == 1
+        # the same file through the load path: rejected, cold engine
+        pool.engine_for(prepared)
+        assert pool.stats.snapshot_rejected == 2
+        assert pool.stats.engines_created == 1
+        # a compatible cache entry still seeds the shards
+        same = EnginePool(lbd_retention=False, cache_dir=cache)
+        snap = same.snapshot_for(prepared)
+        assert snap is not None and snap["lbd_retention"] is False
