@@ -40,6 +40,7 @@
 # BENCH_snapshot.json and fails if
 #   * a restored engine's verdicts diverge from cold runs,
 #   * a warm-cache second campaign diverges from the cold first run,
+#   * the warm run loads no cached engine or rejects any,
 #   * the warm run is not at least 10% faster than the cold run, or
 #   * a fault-killed engine-sharing worker's batch remainder is not
 #     rescheduled onto a warm-started worker with unchanged verdicts.
@@ -220,6 +221,13 @@ if not rt["parity"]:
     sys.exit("FAIL: restored-engine verdicts diverge from cold runs")
 if not wc["parity"]:
     sys.exit("FAIL: warm-cache campaign verdicts diverge from cold run")
+# a save/load schema mismatch would make every load fall back cold
+# without failing anything else
+if wc["warm_pool"]["snapshot_hits"] < 1:
+    sys.exit("FAIL: the warm run loaded no cached engine")
+if wc["warm_pool"]["snapshot_rejected"] != 0:
+    sys.exit(f"FAIL: the warm run rejected "
+             f"{wc['warm_pool']['snapshot_rejected']} cached engines")
 if not wc["fast_enough"]:
     sys.exit(f"FAIL: warm run {wc['warm_time']:.3f}s not >=10% faster "
              f"than cold {wc['cold_time']:.3f}s")

@@ -12,8 +12,8 @@ Prints ``sat`` / ``unsat`` / ``unknown`` on the first line; with
 follows, and with ``--cex`` the refutation derivation is printed for
 UNSAT answers.  Unknown answers distinguish a completed sweep ("no
 finite model of total size <= N") from budget exhaustion on the reason
-line.  ``--no-cores`` / ``--no-lbd`` switch off the unsat-core-guided
-sweep and the LBD-tier learned-clause retention (ablation baselines).
+line.  ``--no-cores`` switches off the unsat-core-guided sweep (the
+ablation baseline).
 ``--backend pysat`` swaps the SAT engine under the model finder for
 the optional `python-sat` Glucose adapter (see
 :mod:`repro.sat.backend`); when the dependency is missing the command
@@ -152,11 +152,6 @@ def _add_ringen_arguments(parser: argparse.ArgumentParser) -> None:
         help="disable the unsat-core-guided size sweep",
     )
     group.add_argument(
-        "--no-lbd",
-        action="store_true",
-        help="legacy length-based learned-clause GC instead of LBD tiers",
-    )
-    group.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
         default="python",
@@ -187,7 +182,6 @@ def _solver_opts(args) -> dict:
     """RInGenConfig fields from the :func:`_add_ringen_arguments` flags."""
     opts = {
         "core_guided_sweep": not args.no_cores,
-        "lbd_retention": not args.no_lbd,
         "sat_backend": args.backend,
         "sweep_shards": args.sweep_shards,
     }

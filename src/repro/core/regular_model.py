@@ -78,9 +78,7 @@ class RegularModel:
         return self.member(pred, terms)
 
     # ------------------------------------------------------------------
-    def verify_exact(
-        self, preprocessed: CHCSystem, *, use_automata: bool = True
-    ) -> bool:
+    def verify_exact(self, preprocessed: CHCSystem) -> bool:
         """Decidable inductiveness check on the constraint-free system.
 
         Evaluated over the constructor-reachable substructure of the
@@ -89,16 +87,16 @@ class RegularModel:
         Herbrand satisfaction of the induced relations — including the
         quantifier-alternating clauses of the STLC case study.
 
-        With ``use_automata`` (the default), clauses whose atoms all
-        range over one shared tuple of distinct variables are decided on
-        the automata view instead: ``P1(x̄) ∧ ... ∧ Pn(x̄) → Q(x̄)`` holds
-        in the Herbrand interpretation iff ``⋂ L(A_Pi) ⊆ L(A_Q)``
-        (Theorem 1), checked with the sparse product and the shared
-        memoized emptiness cache.  The remaining clauses fall back to
-        the finite-model evaluation.
+        Clauses whose atoms all range over one shared tuple of distinct
+        variables are decided on the automata view instead:
+        ``P1(x̄) ∧ ... ∧ Pn(x̄) → Q(x̄)`` holds in the Herbrand
+        interpretation iff ``⋂ L(A_Pi) ⊆ L(A_Q)`` (Theorem 1), checked
+        with the sparse product and the shared memoized emptiness
+        cache.  The remaining clauses fall back to
+        the finite-model evaluation, which over the whole system
+        (``finite_model.satisfies(preprocessed, herbrand=True)``) is the
+        reference this check must agree with.
         """
-        if not use_automata:
-            return self.finite_model.satisfies(preprocessed, herbrand=True)
         residual: list[Clause] = []
         for cl in preprocessed.clauses:
             verdict = self._clause_via_automata(cl)

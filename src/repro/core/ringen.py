@@ -42,15 +42,11 @@ class RInGenConfig:
     CDCL solver spanning the whole size sweep, clauses guarded by
     existence selectors); switching it off re-encodes every size vector
     from scratch — kept for the ablation benchmark.
-    ``max_learned_clauses`` bounds the learned-clause database the
-    incremental engine carries across size vectors.
     ``core_guided_sweep`` prunes the size sweep with the unsat cores of
     refuted vectors (skipping candidates a core already covers and
-    stopping early on size-independent refutations); ``lbd_retention``
-    makes the solver's learned-clause GC retain by LBD tier (glue ≤ 2
-    kept unconditionally) instead of by length.  Both default on; the
-    ``benchmarks/bench_core.py`` ablation gates that verdicts are
-    identical without them.
+    stopping early on size-independent refutations).  It defaults on;
+    the ``benchmarks/bench_core.py`` ablation gates that verdicts are
+    identical without it.
     ``sat_backend`` names the SAT engine under the model finder
     (``"python"`` — the in-repo CDCL solver, always available — or
     ``"pysat"`` — the optional Glucose adapter; see
@@ -58,19 +54,14 @@ class RInGenConfig:
     deletion-based minimization on every refuted vector's unsat core
     before the core prunes the size sweep; the
     ``benchmarks/bench_backend.py`` ablation gates both.
-    ``automata_verification`` lets the exact Herbrand check decide
-    variable-only clauses on the automata view (sparse products plus the
-    memoized emptiness cache) instead of enumerating the finite model.
 
     Campaign knobs: ``engine_pool`` plugs a shared
     :class:`~repro.mace.pool.EnginePool` into the model-finding phase,
     so consecutive ``solve`` calls on signature-compatible systems reuse
     one incremental engine (batch mode for the harness; requires
-    ``incremental``).  ``release_engines`` retires each problem's
-    activation selector from the pool once its solve finishes — the
-    default hygiene for long campaigns; switch it off to inspect
-    contexts afterwards.  ``engine_cache_dir`` points at a disk-backed
-    warm cache of serialized engines (see
+    ``incremental``); each problem's activation selector is retired from
+    the pool once its solve finishes.  ``engine_cache_dir`` points at a
+    disk-backed warm cache of serialized engines (see
     :class:`~repro.mace.pool.EnginePool`): without an injected pool, a
     solve builds a private pool over that cache, so repeated runs on
     the same signature start from the previous run's encodings, learned
@@ -90,7 +81,6 @@ class RInGenConfig:
     """
 
     max_model_size: int = 12
-    cex_start_height: int = 2
     cex_max_height: int = 4
     cex_max_facts: int = 60_000
     max_conflicts_per_size: Optional[int] = 200_000
@@ -99,14 +89,10 @@ class RInGenConfig:
     verify: bool = True
     timeout: Optional[float] = None
     incremental: bool = True
-    max_learned_clauses: Optional[int] = 20_000
     core_guided_sweep: bool = True
-    lbd_retention: bool = True
     sat_backend: str = "python"
     core_minimization: bool = True
-    automata_verification: bool = True
     engine_pool: Optional[EnginePool] = None
-    release_engines: bool = True
     engine_cache_dir: Optional[str] = None
     sweep_shards: int = 1
 
@@ -154,7 +140,6 @@ class RInGen:
                 cex_budget = max(cfg.timeout * 0.3, 0.05)
             cex = search_counterexample(
                 prepared,
-                start_height=cfg.cex_start_height,
                 max_height=cfg.cex_max_height,
                 max_facts=cfg.cex_max_facts,
                 timeout=cex_budget,
@@ -187,7 +172,6 @@ class RInGen:
             # and persists it back when done
             ephemeral = EnginePool(
                 symmetry_breaking=cfg.symmetry_breaking,
-                lbd_retention=cfg.lbd_retention,
                 sat_backend=cfg.sat_backend,
                 cache_dir=cfg.engine_cache_dir,
             )
@@ -196,7 +180,6 @@ class RInGen:
             pool is not None
             and cfg.incremental
             and cfg.symmetry_breaking == pool.symmetry_breaking
-            and cfg.lbd_retention == pool.lbd_retention
             and cfg.sat_backend == pool.sat_backend
         )
         use_parallel = (
@@ -221,9 +204,7 @@ class RInGen:
                 max_total_size=cfg.max_model_size,
                 symmetry_breaking=cfg.symmetry_breaking,
                 max_conflicts_per_size=cfg.max_conflicts_per_size,
-                max_learned_clauses=cfg.max_learned_clauses,
                 core_guided_sweep=cfg.core_guided_sweep,
-                lbd_retention=cfg.lbd_retention,
                 sat_backend=cfg.sat_backend,
                 core_minimization=cfg.core_minimization,
                 snapshot=seed,
@@ -233,7 +214,6 @@ class RInGen:
                 prepared,
                 max_total_size=cfg.max_model_size,
                 max_conflicts_per_size=cfg.max_conflicts_per_size,
-                max_learned_clauses=cfg.max_learned_clauses,
                 core_guided_sweep=cfg.core_guided_sweep,
                 core_minimization=cfg.core_minimization,
             )
@@ -244,9 +224,7 @@ class RInGen:
                 symmetry_breaking=cfg.symmetry_breaking,
                 max_conflicts_per_size=cfg.max_conflicts_per_size,
                 incremental=cfg.incremental,
-                max_learned_clauses=cfg.max_learned_clauses,
                 core_guided_sweep=cfg.core_guided_sweep,
-                lbd_retention=cfg.lbd_retention,
                 sat_backend=cfg.sat_backend,
                 core_minimization=cfg.core_minimization,
             )
@@ -255,7 +233,7 @@ class RInGen:
                 system, prepared, finder, predicates, deadline, start
             )
         finally:
-            if pooled and cfg.release_engines:
+            if pooled:
                 pool.release(finder)
             if ephemeral is not None:
                 ephemeral.flush_cache()
@@ -337,9 +315,7 @@ class RInGen:
             model = RegularModel.from_finite_model(
                 prepared.adts, finder_result.model, predicates
             )
-            if cfg.verify and not model.verify_exact(
-                prepared, use_automata=cfg.automata_verification
-            ):
+            if cfg.verify and not model.verify_exact(prepared):
                 min_size = finder_result.model.size() + 1
                 if min_size > cfg.max_model_size:
                     result = unknown(

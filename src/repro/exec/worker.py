@@ -81,14 +81,16 @@ def jsonable(value: Any, depth: int = 6) -> Any:
 
 def engine_pool_for(solver_opts: Optional[dict]):
     """The campaign :class:`~repro.mace.pool.EnginePool` matching the
-    RInGen knobs in ``solver_opts`` (SAT backend, learned-clause
-    policy, disk warm cache) — one construction for workers and the
-    in-process supervisor alike."""
+    RInGen knobs in ``solver_opts`` (symmetry breaking, SAT backend,
+    disk warm cache) — one construction for workers and the in-process
+    supervisor alike.  Every field RInGen's pool-compatibility check
+    compares must be passed through, or each problem silently runs
+    unshared."""
     from repro.mace.pool import EnginePool
 
     opts = solver_opts or {}
     return EnginePool(
-        lbd_retention=opts.get("lbd_retention", True),
+        symmetry_breaking=opts.get("symmetry_breaking", True),
         sat_backend=opts.get("sat_backend", "python"),
         cache_dir=opts.get("engine_cache_dir"),
     )

@@ -161,7 +161,13 @@ class EngineSnapshotError(FinderError):
 #: schema version of :meth:`_IncrementalEngine.snapshot`; bumped
 #: whenever the serialized layout changes incompatibly.  ``restore``
 #: rejects any other version instead of guessing.
-ENGINE_SNAPSHOT_VERSION = 1
+ENGINE_SNAPSHOT_VERSION = 2
+
+#: learned-clause cap of the incremental engine: once the solver holds
+#: more learned clauses than this, :meth:`_IncrementalEngine.try_vector`
+#: garbage-collects them down to half (see
+#: :meth:`repro.sat.solver.CDCLSolver.reduce_learned`)
+LEARNED_CLAUSE_CAP = 20_000
 
 
 def engine_fingerprint(sorts, functions, predicates) -> tuple:
@@ -647,14 +653,12 @@ class _IncrementalEngine:
         *,
         symmetry_breaking: bool = True,
         gc_window: int = 8,
-        lbd_retention: bool = True,
         sat_backend: str = "python",
     ):
         self.sorts = list(sorts)
         self.functions = list(functions)
         self.predicates = list(predicates)
         self.symmetry_breaking = symmetry_breaking
-        self.lbd_retention = lbd_retention
         # name resolved through repro.sat.backend.make_backend; part of
         # the engine's compatibility fingerprint (pooled engines never
         # mix backends — solver state is not transferable between them)
@@ -697,9 +701,7 @@ class _IncrementalEngine:
 
     # -- lifecycle ---------------------------------------------------------
     def _fresh(self) -> None:
-        self.solver: SatBackend = make_backend(
-            self.sat_backend, lbd_retention=self.lbd_retention
-        )
+        self.solver: SatBackend = make_backend(self.sat_backend)
         self.selectors = SelectorPool(self.solver)
         self.cur: dict[Sort, int] = {s: 0 for s in self.sorts}
         # nested variable tables: one symbol hash to reach a table keyed
@@ -924,7 +926,6 @@ class _IncrementalEngine:
             ),
             "sat_backend": self.sat_backend,
             "symmetry_breaking": self.symmetry_breaking,
-            "lbd_retention": self.lbd_retention,
             "gc_window": self.gc_window,
             "sorts": list(self.sorts),
             "functions": list(self.functions),
@@ -996,7 +997,6 @@ class _IncrementalEngine:
             snap["predicates"],
             symmetry_breaking=bool(snap["symmetry_breaking"]),
             gc_window=int(snap["gc_window"]),
-            lbd_retention=bool(snap["lbd_retention"]),
             sat_backend=str(snap["sat_backend"]),
         )
         engine._restore_from(snap)
@@ -1520,7 +1520,6 @@ class _IncrementalEngine:
         *,
         deadline: Optional[float] = None,
         max_conflicts: Optional[int] = None,
-        max_learned_clauses: Optional[int] = None,
         collect_cores: bool = True,
         minimize_cores: bool = True,
     ) -> _VectorOutcome:
@@ -1547,7 +1546,6 @@ class _IncrementalEngine:
                 stats,
                 deadline=deadline,
                 max_conflicts=max_conflicts,
-                max_learned_clauses=max_learned_clauses,
                 collect_cores=collect_cores,
                 minimize_cores=minimize_cores,
             )
@@ -1576,7 +1574,6 @@ class _IncrementalEngine:
                 stats,
                 deadline=deadline,
                 max_conflicts=max_conflicts,
-                max_learned_clauses=max_learned_clauses,
                 collect_cores=collect_cores,
                 minimize_cores=minimize_cores,
             )
@@ -1616,7 +1613,6 @@ class _IncrementalEngine:
         *,
         deadline: Optional[float] = None,
         max_conflicts: Optional[int] = None,
-        max_learned_clauses: Optional[int] = None,
         collect_cores: bool = True,
         minimize_cores: bool = True,
     ) -> _VectorOutcome:
@@ -1651,9 +1647,8 @@ class _IncrementalEngine:
                 stats.vectors_refuted += 1
                 return _VectorOutcome(refuted=True)
         stats.clauses_reused += pre_added
-        limit = max_learned_clauses
-        if limit is not None and self.solver.learned_count() > limit:
-            self.solver.reduce_learned(limit // 2)
+        if self.solver.learned_count() > LEARNED_CLAUSE_CAP:
+            self.solver.reduce_learned(LEARNED_CLAUSE_CAP // 2)
         # a problem is activated as the set of its groups' selectors;
         # each assumption's *meaning* is remembered so an unsat core can
         # be read back as size bounds
@@ -1877,10 +1872,10 @@ class ModelFinder:
 
     ``core_guided_sweep`` (default on) prunes the sweep with the unsat
     cores of refuted vectors and enables the size-independent
-    ``hopeless`` shortcut; ``lbd_retention`` selects the solver's
-    LBD-tier learned-clause GC.  Both exist for the
-    ``benchmarks/bench_core.py`` ablation, which checks verdicts are
-    identical with the guidance on and off.
+    ``hopeless`` shortcut.  It exists for the ``benchmarks/bench_core.py``
+    ablation, which checks verdicts are identical with the guidance on
+    and off.  The learned-clause database is capped at
+    :data:`LEARNED_CLAUSE_CAP`.
     """
 
     def __init__(
@@ -1893,10 +1888,8 @@ class ModelFinder:
         deadline: Optional[float] = None,
         min_total_size: int = 0,
         incremental: bool = True,
-        max_learned_clauses: Optional[int] = 20_000,
         engine: Optional[_IncrementalEngine] = None,
         core_guided_sweep: bool = True,
-        lbd_retention: bool = True,
         sat_backend: str = "python",
         core_minimization: bool = True,
     ):
@@ -1907,9 +1900,7 @@ class ModelFinder:
         self.symmetry_breaking = symmetry_breaking
         self.deadline = deadline
         self.incremental = incremental
-        self.max_learned_clauses = max_learned_clauses
         self.core_guided_sweep = core_guided_sweep
-        self.lbd_retention = lbd_retention
         self.sat_backend = sat_backend
         self.core_minimization = core_minimization
         counter = itertools.count()
@@ -1933,7 +1924,6 @@ class ModelFinder:
                 or engine.functions != self.functions
                 or engine.predicates != self.predicates
                 or engine.symmetry_breaking != symmetry_breaking
-                or engine.lbd_retention != lbd_retention
                 or engine.sat_backend != sat_backend
             ):
                 raise FinderError(
@@ -1983,7 +1973,6 @@ class ModelFinder:
                 self.functions,
                 self.predicates,
                 symmetry_breaking=self.symmetry_breaking,
-                lbd_retention=self.lbd_retention,
                 sat_backend=self.sat_backend,
             )
         engine = self._engine
@@ -2068,7 +2057,6 @@ class ModelFinder:
                 stats,
                 deadline=self.deadline,
                 max_conflicts=self.max_conflicts,
-                max_learned_clauses=self.max_learned_clauses,
                 collect_cores=self.core_guided_sweep,
                 minimize_cores=self.core_minimization,
             )
@@ -2095,9 +2083,7 @@ def find_model(
     max_conflicts_per_size: Optional[int] = 200_000,
     min_total_size: int = 0,
     incremental: bool = True,
-    max_learned_clauses: Optional[int] = 20_000,
     core_guided_sweep: bool = True,
-    lbd_retention: bool = True,
     sat_backend: str = "python",
     core_minimization: bool = True,
 ) -> FinderResult:
@@ -2111,9 +2097,7 @@ def find_model(
         deadline=deadline,
         min_total_size=min_total_size,
         incremental=incremental,
-        max_learned_clauses=max_learned_clauses,
         core_guided_sweep=core_guided_sweep,
-        lbd_retention=lbd_retention,
         sat_backend=sat_backend,
         core_minimization=core_minimization,
     )

@@ -124,7 +124,6 @@ class _ShardRunner:
     def __init__(self, payload: dict):
         self.uid = payload["shard"]
         self.max_conflicts = payload.get("max_conflicts")
-        self.max_learned = payload.get("max_learned_clauses")
         self.collect_cores = bool(payload.get("core_guided_sweep", True))
         self.minimize_cores = bool(payload.get("core_minimization", True))
         self.fault_plan = ReproFaultPlan.parse(payload.get("fault_plan"))
@@ -156,7 +155,6 @@ class _ShardRunner:
                 symmetry_breaking=bool(
                     payload.get("symmetry_breaking", True)
                 ),
-                lbd_retention=bool(payload.get("lbd_retention", True)),
                 sat_backend=payload.get("sat_backend", "python"),
             )
         self.engine = engine
@@ -241,7 +239,6 @@ class _ShardRunner:
                 self.stats,
                 deadline=deadline,
                 max_conflicts=self.max_conflicts,
-                max_learned_clauses=self.max_learned,
                 collect_cores=self.collect_cores,
                 minimize_cores=self.minimize_cores,
             )
@@ -724,9 +721,7 @@ class ParallelModelFinder:
         symmetry_breaking: bool = True,
         deadline: Optional[float] = None,
         min_total_size: int = 0,
-        max_learned_clauses: Optional[int] = 20_000,
         core_guided_sweep: bool = True,
-        lbd_retention: bool = True,
         sat_backend: str = "python",
         core_minimization: bool = True,
         snapshot: Optional[dict] = None,
@@ -741,9 +736,7 @@ class ParallelModelFinder:
         self.symmetry_breaking = symmetry_breaking
         self.deadline = deadline
         self.min_total_size = min_total_size
-        self.max_learned_clauses = max_learned_clauses
         self.core_guided_sweep = core_guided_sweep
-        self.lbd_retention = lbd_retention
         self.sat_backend = sat_backend
         self.core_minimization = core_minimization
         self.snapshot = snapshot
@@ -759,10 +752,8 @@ class ParallelModelFinder:
             "system": self.system,
             "snapshot": self.snapshot,
             "symmetry_breaking": self.symmetry_breaking,
-            "lbd_retention": self.lbd_retention,
             "sat_backend": self.sat_backend,
             "max_conflicts": self.max_conflicts,
-            "max_learned_clauses": self.max_learned_clauses,
             "core_guided_sweep": self.core_guided_sweep,
             "core_minimization": self.core_minimization,
             "fault_plan": plan.encode() if plan else None,

@@ -168,17 +168,12 @@ class EnginePool:
         symmetry_breaking: bool = True,
         max_engines: Optional[int] = 8,
         max_problems_per_engine: Optional[int] = 64,
-        lbd_retention: bool = True,
         sat_backend: str = "python",
         cache_dir: Optional[Union[str, Path]] = None,
     ):
         self.symmetry_breaking = symmetry_breaking
         self.max_engines = max_engines
         self.max_problems_per_engine = max_problems_per_engine
-        # learned-clause GC policy of every engine this pool builds;
-        # finders riding a pooled engine must agree with it (the
-        # ModelFinder constructor enforces the match)
-        self.lbd_retention = lbd_retention
         # SAT backend of every engine this pool builds; part of the
         # engine key so a mixed-backend campaign never hands a finder
         # an engine built over the wrong solver
@@ -296,9 +291,7 @@ class EnginePool:
             raise EngineSnapshotError(
                 "snapshot backend disagrees with the pool's"
             )
-        if bool(snap.get("lbd_retention")) != self.lbd_retention or bool(
-            snap.get("symmetry_breaking")
-        ) != self.symmetry_breaking:
+        if bool(snap.get("symmetry_breaking")) != self.symmetry_breaking:
             raise EngineSnapshotError(
                 "snapshot solver policy disagrees with the pool's"
             )
@@ -422,7 +415,6 @@ class EnginePool:
                         system.predicates.values(), key=lambda p: p.name
                     ),
                     symmetry_breaking=self.symmetry_breaking,
-                    lbd_retention=self.lbd_retention,
                     sat_backend=self.sat_backend,
                 )
             )
@@ -444,7 +436,6 @@ class EnginePool:
         max_conflicts_per_size: Optional[int] = 200_000,
         deadline: Optional[float] = None,
         min_total_size: int = 0,
-        max_learned_clauses: Optional[int] = 20_000,
         core_guided_sweep: bool = True,
         core_minimization: bool = True,
     ) -> ModelFinder:
@@ -460,10 +451,8 @@ class EnginePool:
             deadline=deadline,
             min_total_size=min_total_size,
             incremental=True,
-            max_learned_clauses=max_learned_clauses,
             engine=engine,
             core_guided_sweep=core_guided_sweep,
-            lbd_retention=self.lbd_retention,
             sat_backend=self.sat_backend,
             core_minimization=core_minimization,
         )

@@ -154,15 +154,8 @@ def available_backends() -> list[str]:
     return [name for name in BACKEND_NAMES if backend_available(name)]
 
 
-def make_backend(
-    name: str, *, lbd_retention: bool = True
-) -> SatBackend:
+def make_backend(name: str) -> SatBackend:
     """Construct the named backend.
-
-    ``lbd_retention`` selects the pure-Python solver's learned-clause
-    GC policy (LBD tiers vs. legacy shortest-first); external backends
-    follow their own built-in discipline (Glucose *is* the LBD
-    lineage) and accept the flag for interface uniformity.
 
     Raises :class:`BackendUnavailableError` for a known backend whose
     dependency is missing and :class:`ValueError` for an unknown name.
@@ -170,11 +163,11 @@ def make_backend(
     if name == "python":
         from repro.sat.solver import CDCLSolver
 
-        return CDCLSolver(lbd_retention=lbd_retention)
+        return CDCLSolver()
     if name == "pysat":
         from repro.sat.pysat_backend import PySATBackend
 
-        return PySATBackend(lbd_retention=lbd_retention)
+        return PySATBackend()
     raise ValueError(
         f"unknown SAT backend {name!r} (known: {', '.join(BACKEND_NAMES)})"
     )

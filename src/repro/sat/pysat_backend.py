@@ -73,17 +73,14 @@ def pysat_available() -> bool:
 class PySATBackend:
     """`python-sat` adapter satisfying the :class:`SatBackend` protocol.
 
-    ``lbd_retention`` is accepted for constructor uniformity with the
-    pure-Python solver and recorded, but Glucose applies its own LBD
-    retention natively — there is no legacy length-based mode to fall
-    back to behind this boundary.
+    Glucose applies its own LBD retention natively, the discipline the
+    pure-Python solver's ``reduce_learned`` follows too.
     """
 
     def __init__(
         self,
         num_vars: int = 0,
         *,
-        lbd_retention: bool = True,
         solver_name: str = DEFAULT_PYSAT_SOLVER,
     ):
         try:
@@ -92,7 +89,6 @@ class PySATBackend:
             raise BackendUnavailableError(
                 f"{_INSTALL_HINT} (import failed: {error})"
             ) from error
-        self.lbd_retention = lbd_retention
         self.solver_name = solver_name
         self._solver = Solver(name=solver_name)
         self.num_vars = 0
@@ -392,7 +388,6 @@ class PySATBackend:
             "backend": "pysat",
             "num_vars": self.num_vars,
             "ok": self._ok,
-            "lbd_retention": self.lbd_retention,
             "solver_name": self.solver_name,
             "clauses": [list(c) for c in self._clauses],
             "stats": asdict(self.stats),
@@ -412,10 +407,7 @@ class PySATBackend:
                 f"{snap.get('version')!r} (expected {SNAPSHOT_VERSION})"
             )
         backend = cls(
-            lbd_retention=bool(snap["lbd_retention"]),
-            solver_name=snap.get(
-                "solver_name", DEFAULT_PYSAT_SOLVER
-            ),
+            solver_name=snap.get("solver_name", DEFAULT_PYSAT_SOLVER)
         )
         backend.new_vars(int(snap["num_vars"]))
         ok = bool(snap["ok"])

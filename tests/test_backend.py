@@ -64,12 +64,6 @@ class TestProtocol:
         with pytest.raises(ValueError, match="unknown SAT backend"):
             make_backend("minisat-classic")
 
-    def test_lbd_retention_threaded_through(self):
-        assert not make_backend(
-            "python", lbd_retention=False
-        ).lbd_retention
-        assert make_backend("python").lbd_retention
-
 
 class TestAvailability:
     def test_probe_matches_import(self):

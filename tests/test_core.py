@@ -1,13 +1,21 @@
 """End-to-end tests for RInGen (the Sec. 4 pipeline) on the paper programs."""
 
+import itertools
+
 import pytest
 
 from repro import RInGen, RInGenConfig, Status, solve
+from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.chc.transform import preprocess
 from repro.core.cex import search_counterexample
 from repro.core.regular_model import RegularModel
 from repro.core.result import sat, unknown, unsat
-from repro.logic.adt import nat, nat_value
+from repro.logic.adt import NAT, S, nat, nat_system, nat_value
+from repro.logic.formulas import TRUE
+from repro.logic.sorts import PredSymbol
+from repro.logic.terms import App, Var
+from repro.mace import find_model
+from repro.mace.model import FiniteModel
 from repro.problems import (
     EVEN,
     diag_system,
@@ -19,6 +27,7 @@ from repro.problems import (
     odd_unsat_system,
     z_neq_sz_system,
 )
+from repro.stlc import goal_identity, invariant_model, typecheck_vc
 from repro.theory.atlas import even_member, evenleft_member
 
 
@@ -103,6 +112,101 @@ class TestRegularModelVerification:
         d = diseq_symbol(NAT)
         assert model.interpretation(d, (nat(0), nat(1)))
         assert not model.interpretation(d, (nat(1), nat(1)))
+
+
+def _single_flips(model: FiniteModel):
+    """Every variant of ``model`` with one predicate tuple toggled."""
+    for pred, rel in model.predicates.items():
+        domains = [range(model.domains[s]) for s in pred.arg_sorts]
+        for tup in itertools.product(*domains):
+            predicates = {q: set(r) for q, r in model.predicates.items()}
+            predicates[pred] = set(rel) ^ {tup}
+            yield FiniteModel(model.domains, model.functions, predicates)
+
+
+def _subset_system():
+    """``even ⊆ tagged``: the last clause is variable-only, so
+    ``verify_exact`` decides it by language inclusion alone."""
+    tagged = PredSymbol("tagged", (NAT,))
+    x = Var("x", NAT)
+    system = CHCSystem(nat_system(), name="Subset")
+    system.add(Clause(TRUE, (), BodyAtom(EVEN, (nat(0),))))
+    even_x = (BodyAtom(EVEN, (x,)),)
+    plus_two = App(S, (App(S, (x,)),))
+    system.add(Clause(TRUE, even_x, BodyAtom(EVEN, (plus_two,))))
+    system.add(Clause(TRUE, even_x, BodyAtom(tagged, (x,))))
+    return system
+
+
+class TestExactVerificationReference:
+    """``RegularModel.verify_exact`` decides some clauses on the automata
+    view; evaluating every clause on the finite model's reachable
+    substructure (``satisfies(..., herbrand=True)``) is the reference
+    it must agree with, on found models and on broken variants."""
+
+    @staticmethod
+    def _assert_agree(prepared, model: FiniteModel) -> bool:
+        regular = RegularModel.from_finite_model(
+            prepared.adts, model, list(prepared.predicates.values())
+        )
+        expected = model.satisfies(prepared, herbrand=True)
+        assert regular.verify_exact(prepared) == expected
+        return expected
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            even_system,
+            incdec_system,
+            evenleft_system,
+            diseq_zz_system,
+            _subset_system,
+        ],
+    )
+    def test_found_models_and_their_flips(self, factory):
+        system = factory()
+        result = solve(system, timeout=30)
+        assert result.is_sat
+        prepared = preprocess(system)
+        assert self._assert_agree(prepared, result.invariant.finite_model)
+        for variant in _single_flips(result.invariant.finite_model):
+            self._assert_agree(prepared, variant)
+
+    def test_automata_alone_refute_a_broken_subset(self):
+        # emptying ``tagged`` breaks only the variable-only clause, so
+        # verify_exact's False rests on language inclusion alone
+        prepared = preprocess(_subset_system())
+        found = solve(_subset_system(), timeout=30).invariant.finite_model
+        tagged = prepared.predicates["tagged"]
+        broken = FiniteModel(
+            found.domains,
+            found.functions,
+            {**found.predicates, tagged: set()},
+        )
+        rest = CHCSystem(prepared.adts, dict(prepared.predicates))
+        rest.extend(
+            cl
+            for cl in prepared.clauses
+            if cl.head is None or cl.head.pred != tagged
+        )
+        assert len(rest.clauses) == len(prepared.clauses) - 1
+        assert broken.satisfies(rest, herbrand=True)
+        assert not self._assert_agree(prepared, broken)
+
+    def test_stlc_found_model_and_its_flips(self):
+        # the model finder directly: the full pipeline's bounded
+        # refutation and verification phases cost seconds here
+        prepared = preprocess(typecheck_vc())
+        found = find_model(prepared, max_total_size=6).model
+        assert found is not None
+        assert self._assert_agree(prepared, found)
+        for variant in _single_flips(found):
+            self._assert_agree(prepared, variant)
+
+    def test_stlc_model_that_fails(self):
+        # a -> a is inhabited, so no invariant satisfies its VC
+        prepared = preprocess(typecheck_vc(goal_identity))
+        assert not self._assert_agree(prepared, invariant_model())
 
 
 class TestConfig:

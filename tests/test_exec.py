@@ -9,9 +9,11 @@ job runs against a full campaign.
 import os
 import signal
 import time
+from functools import partial
 
 import pytest
 
+from repro.benchgen.builders import nat_mod_system
 from repro.benchgen.suite import Problem, Suite
 from repro.core.result import Status
 from repro.core.ringen import RInGen, RInGenConfig
@@ -380,6 +382,36 @@ class TestIsolated:
         # the workers' private pools report aggregated reuse counters
         assert shared.pool_stats is not None
         assert shared.pool_stats.get("problems", 0) >= 2
+
+
+def nat_mod4_suite() -> Suite:
+    """Four sat members of one Nat signature (one shared engine)."""
+    suite = Suite("NatMod4")
+    for clash in (1, 2, 4, 5):
+        suite.add(
+            f"nat_mod_3_0_{clash}", "nat_mod",
+            partial(nat_mod_system, 3, 0, clash), "sat",
+        )
+    return suite
+
+
+@pytest.mark.parametrize("isolate", [False, True])
+def test_share_engines_without_symmetry_breaking(isolate):
+    # Regression: the campaign pool ignored solver_opts'
+    # symmetry_breaking, so RInGen found it incompatible and ran every
+    # problem unshared without a word
+    campaign = run_campaign(
+        [nat_mod4_suite()], solvers=["ringen"], timeout=10.0,
+        share_engines=True,
+        policy=ExecPolicy(
+            isolate=isolate, solver_opts={"symmetry_breaking": False}
+        ),
+    )
+    assert all(r.solved for r in campaign.records)
+    pool = campaign.pool_stats
+    assert pool["problems"] == 4
+    assert pool["engines_created"] == 1
+    assert pool["engine_hits"] == 3
 
 
 class TestResumeAndInterrupt:

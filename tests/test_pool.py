@@ -5,7 +5,6 @@ import pytest
 from repro import solve
 from repro.benchgen.builders import nat_mod_system, nat_two_residues_system
 from repro.chc.transform import preprocess
-from repro.core.ringen import RInGenConfig
 from repro.harness import batch_order, run_campaign
 from repro.benchgen.suite import Suite
 from repro.mace import EnginePool, find_model, signature_fingerprint
@@ -175,18 +174,16 @@ class TestEnginePool:
         assert result.found
         assert result.stats.solver_resets == resets_before
 
-    def test_pool_lbd_retention_threads_to_engines(self):
-        pool = EnginePool(lbd_retention=False)
+    def test_pool_rejects_finder_with_mismatched_policy(self):
+        pool = EnginePool(symmetry_breaking=False)
         prepared = preprocess(nat_mod_system(2, 0, 1))
         engine = pool.engine_for(prepared)
-        assert engine.lbd_retention is False
-        assert engine.solver.lbd_retention is False
-        # pool.finder agrees with its engines on the retention policy
+        # pool.finder agrees with its engines on the solver policy
         finder = pool.finder(prepared)
         assert finder.search().found
         # a finder with a mismatched policy is rejected
         with pytest.raises(FinderError):
-            ModelFinder(prepared, engine=engine, lbd_retention=True)
+            ModelFinder(prepared, engine=engine, symmetry_breaking=True)
 
     def test_mismatched_engine_rejected(self):
         pool = EnginePool()
@@ -211,8 +208,6 @@ class TestEnginePool:
 class TestRInGenCampaign:
     def test_config_knobs(self):
         pool = EnginePool()
-        config = RInGenConfig(engine_pool=pool)
-        assert config.release_engines is True
         result = solve(
             nat_mod_system(2, 0, 1), timeout=10, engine_pool=pool
         )
@@ -406,17 +401,17 @@ class TestEngineSnapshot:
     def test_adopt_rejects_incompatible_config(self):
         pool = self._warm_pool()
         snap = pool.last_snapshot()
-        receiver = EnginePool(lbd_retention=False)
+        receiver = EnginePool(symmetry_breaking=False)
         assert not receiver.adopt_snapshot(snap)
         assert receiver.stats.snapshot_rejected == 1
 
     def test_snapshot_for_rejects_foreign_policy_cache(self, tmp_path):
         # the parallel sweep's seed must pass the same policy check as
-        # a cache load: an engine cached under lbd_retention=False is
-        # never handed to a default pool's shards
+        # a cache load: an engine cached under symmetry_breaking=False
+        # is never handed to a default pool's shards
         cache = tmp_path / "engines"
         prepared = preprocess(even_system())
-        writer = EnginePool(lbd_retention=False, cache_dir=cache)
+        writer = EnginePool(symmetry_breaking=False, cache_dir=cache)
         writer.engine_for(prepared)
         assert writer.flush_cache() == 1
         pool = EnginePool(cache_dir=cache)
@@ -427,6 +422,6 @@ class TestEngineSnapshot:
         assert pool.stats.snapshot_rejected == 2
         assert pool.stats.engines_created == 1
         # a compatible cache entry still seeds the shards
-        same = EnginePool(lbd_retention=False, cache_dir=cache)
+        same = EnginePool(symmetry_breaking=False, cache_dir=cache)
         snap = same.snapshot_for(prepared)
-        assert snap is not None and snap["lbd_retention"] is False
+        assert snap is not None and snap["symmetry_breaking"] is False

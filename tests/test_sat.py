@@ -4,7 +4,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sat.cnf import (
     SelectorPool,
@@ -537,13 +537,6 @@ class TestLbdRetention:
         if dropped_lbds and non_glue_kept:
             assert min(dropped_lbds) >= max(non_glue_kept)
 
-    def test_legacy_length_policy_still_available(self):
-        clauses, num_vars = pigeonhole_clauses(4)
-        solver = CDCLSolver(num_vars, lbd_retention=False)
-        for clause in clauses:
-            solver.add_clause(clause)
-        assert solver.solve() is False
-
 
 class TestSolveCnfIndeterminate:
     """solve_cnf must never collapse a timeout into 'unsat'."""
@@ -758,6 +751,10 @@ def random_incremental_history(draw):
 class TestSnapshotRestore:
     @given(random_incremental_history())
     @settings(max_examples=150, deadline=None)
+    # VSIDS activities tie here, so the restored solver only decides
+    # like the original (and learns the level-0 unit on var 2) when the
+    # snapshot carries the heap layout itself
+    @example(([[1], [2, 3], [1], [1], [2, -3]], 3, 0, []))
     def test_round_trip_preserves_semantics(self, case):
         clauses, num_vars, split, assumptions = case
         original = CDCLSolver(num_vars)
@@ -811,6 +808,26 @@ class TestSnapshotRestore:
         snap = solver.snapshot()
         snap["version"] = SNAPSHOT_VERSION + 1
         with pytest.raises(SatError, match="version"):
+            CDCLSolver.restore(snap)
+
+    @pytest.mark.parametrize(
+        "heap",
+        [
+            [1, 1, 2],  # duplicate entry
+            [1, 2, 4],  # variable out of range
+            [0, 1, 2],  # no variable 0
+            [1, "2", 3],  # not an int
+            [1, 2],  # unassigned variable 3 would never be decided
+            "123",  # not a list
+        ],
+    )
+    def test_malformed_heap_rejected(self, heap):
+        solver = CDCLSolver(3)
+        solver.add_clause([1, 2, 3])
+        snap = solver.snapshot()
+        assert sorted(snap["heap"]) == [1, 2, 3]
+        snap["heap"] = heap
+        with pytest.raises(SatError, match="heap"):
             CDCLSolver.restore(snap)
 
     def test_wrong_schema_rejected(self):
